@@ -28,8 +28,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import networkx as nx
-
 from repro.util.errors import ConfigurationError
 
 
@@ -98,6 +96,10 @@ class Topology:
     def __init__(self, lan: LinkSpec = ETHERNET_10,
                  loopback: LinkSpec = LOOPBACK,
                  clock: Callable[[], float] | None = None) -> None:
+        # imported here, not at module level: a process that never builds
+        # a WAN (a capacity-model trace replay) skips networkx's ~18 MiB
+        import networkx as nx
+
         self._graph = nx.Graph()
         self._lan: dict[str, LinkSpec] = {}
         self._default_lan = lan
@@ -269,6 +271,8 @@ class Topology:
                 raise ConfigurationError(f"unknown site {s!r}")
         if src == dst:
             return [src]
+        import networkx as nx
+
         try:
             return nx.shortest_path(self._graph, src, dst,
                                     weight=_edge_weight)

@@ -129,6 +129,15 @@ class SiteScheduler:
                 f"{self.local_site!r}")
         if revalidate:
             graph.validate()
+        # A consulted site that a link fault has cut off from this site
+        # since it answered can receive neither its allocation portion
+        # nor its inputs: drop it.  WAN reachability is symmetric and
+        # transitive, so every (parent site, candidate) pair of the walk
+        # then has a path and ``transfer_time`` cannot fail mid-walk.
+        reachable = self.topology.reachable
+        selection_results = {
+            site: result for site, result in selection_results.items()
+            if reachable(self.local_site, site)}
         if levels is None:
             levels = compute_levels(graph)
         table = ResourceAllocationTable(application=graph.name)

@@ -55,6 +55,11 @@ class DRFAllocator:
         self._alloc: dict[str, list[float]] = {
             name: [0.0, 0.0] for name in self.tenants}
         self._used = [0.0, 0.0]
+        # cached and recomputed by every allocate/release, so predicates
+        # and the dispatch pump read fields instead of building tuples
+        self.free_procs = self.capacity[0]
+        self.free_memory_mb = self.capacity[1]
+        self._share: dict[str, float] = {name: 0.0 for name in self.tenants}
 
     # -- bookkeeping ------------------------------------------------------
     def demand_of(self, nproc: int, mem_per_proc_mb: float
@@ -67,14 +72,19 @@ class DRFAllocator:
         return (vec[0], vec[1])
 
     def free(self) -> tuple[float, float]:
-        return (self.capacity[0] - self._used[0],
-                self.capacity[1] - self._used[1])
+        return (self.free_procs, self.free_memory_mb)
 
     def dominant_share(self, tenant: str) -> float:
         """Weighted dominant share: max_r alloc_r / cap_r, over weight."""
-        vec = self._alloc[tenant]
-        share = max(vec[0] / self.capacity[0], vec[1] / self.capacity[1])
-        return share / self.tenants[tenant].weight
+        return self._share[tenant]
+
+    def _refresh(self, tenant: str, vec: list[float]) -> None:
+        """Refresh the cached free vector and *tenant*'s share."""
+        capacity = self.capacity
+        self.free_procs = capacity[0] - self._used[0]
+        self.free_memory_mb = capacity[1] - self._used[1]
+        share = max(vec[0] / capacity[0], vec[1] / capacity[1])
+        self._share[tenant] = share / self.tenants[tenant].weight
 
     def shares(self) -> dict[str, float]:
         """Every tenant's weighted dominant share, by name."""
@@ -93,9 +103,14 @@ class DRFAllocator:
             return False
         return True
 
+    def fits_procs(self, procs: float) -> bool:
+        """Are *procs* processors free?  (The processor half of
+        :meth:`fits_capacity`; the dispatch pump parks on it.)"""
+        return procs <= self.free_procs + 1e-9
+
     def fits_capacity(self, demand: tuple[float, float]) -> bool:
-        free = self.free()
-        return demand[0] <= free[0] + 1e-9 and demand[1] <= free[1] + 1e-9
+        return self.fits_procs(demand[0]) \
+            and demand[1] <= self.free_memory_mb + 1e-9
 
     def can_allocate(self, tenant: str, demand: tuple[float, float]) -> bool:
         return self.fits_capacity(demand) and self.within_quota(tenant,
@@ -129,16 +144,20 @@ class DRFAllocator:
         vec[1] += demand[1]
         self._used[0] += demand[0]
         self._used[1] += demand[1]
+        self._refresh(tenant, vec)
 
     def release(self, tenant: str, demand: tuple[float, float]) -> None:
+        """Return *demand*; a release larger than the tenant's allocation
+        raises and leaves every counter untouched."""
         vec = self._alloc[tenant]
+        if vec[0] - demand[0] < -1e-9 or vec[1] - demand[1] < -1e-9:
+            raise ValueError(f"tenant {tenant!r} released more than "
+                             "it allocated")
         vec[0] -= demand[0]
         vec[1] -= demand[1]
         self._used[0] -= demand[0]
         self._used[1] -= demand[1]
-        if vec[0] < -1e-9 or vec[1] < -1e-9:
-            raise ValueError(f"tenant {tenant!r} released more than "
-                             "it allocated")
+        self._refresh(tenant, vec)
 
 
 class TenantShareFilter:

@@ -11,9 +11,13 @@ Dispatch is progressive filling (:mod:`repro.traffic.drf`): whenever
 capacity frees up or a job is admitted, the pump repeatedly grants the
 head job of the eligible tenant with the lowest weighted dominant
 share, charging the DRF allocator and the backend until nothing
-eligible remains.  Every decision is audited — a dispatch that was not
-share-minimal among eligible tenants counts as a ``drf_violation``
-(asserted zero by ``repro replay --check``).
+eligible remains.  Tenants wait in a share-ordered ready heap; one
+whose head cannot start is *parked* by the reason it failed and is not
+looked at again until something that could unblock it changes (see
+:meth:`ReplayEngine._next_pick`).  Every decision is audited
+independently of the heap — a dispatch while a lower-share tenant could
+have run counts as a ``drf_violation`` (asserted zero by ``repro
+replay --check``).
 
 The default :class:`CapacityBackend` models each site as a processor
 pool (jobs occupy ``nproc`` processors for their trace duration via one
@@ -27,8 +31,10 @@ placement and real execution underneath the same pump.
 from __future__ import annotations
 
 import json
+from bisect import insort
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import asdict, dataclass, field
+from heapq import heapify, heappop, heappush
 from typing import Protocol
 
 from repro.experiments.measures import format_table
@@ -190,6 +196,20 @@ class ReplayEngine:
             tenants={name: TenantReplayStats()
                      for name in self._tenant_names})
         self._in_pump = False
+        # Dispatch state.  A tenant with a non-empty queue holds exactly
+        # one live entry ``(share, name, version)``, stamped with its
+        # current version: in the ready heap, in the share-ordered heap
+        # of its head's width (parked on processors) or in the backend
+        # list; or none while it waits, quota-bound, for its own
+        # release.  Bumping the version strands every older entry (lazy
+        # deletion).
+        self._version = {name: 0 for name in self._tenant_names}
+        self._ready: list[tuple[float, str, int]] = []
+        self._width_parked: dict[float, list[tuple[float, str, int]]] = {}
+        self._widths: list[float] = []  # sorted keys of _width_parked
+        self._backend_parked: list[tuple[float, str, int]] = []
+        #: head processors of every tenant with pending work (the audit)
+        self._head_procs: dict[str, float] = {}
 
     @staticmethod
     def demand_of(req: JobRequest) -> tuple[float, float]:
@@ -213,40 +233,144 @@ class ReplayEngine:
         self._schedule_next_arrival()
         self.admission.submit(req)
 
-    def _on_admitted(self, _tenant: str) -> None:
+    def _on_admitted(self, tenant: str) -> None:
+        queue = self.admission.queues[tenant]
+        if len(queue) == 1:
+            self._head_procs[tenant] = queue[0].demand[0]
+            self._push_ready(tenant)
         self._pump()
 
     # -- the DRF dispatch pump --------------------------------------------
-    def _eligible(self) -> list[str]:
-        out = []
-        for name in self._tenant_names:
-            queue = self.admission.queues[name]
-            if not queue:
+    def _push_ready(self, tenant: str) -> None:
+        """(Re-)queue *tenant* for the pump at its current share."""
+        version = self._version[tenant] + 1
+        self._version[tenant] = version
+        heappush(self._ready,
+                 (self.allocator.dominant_share(tenant), tenant, version))
+
+    def _unpark_backend(self) -> None:
+        """Backend state is opaque: re-check every backend-parked head."""
+        parked = self._backend_parked
+        if parked:
+            version = self._version
+            ready = self._ready
+            ready.extend(entry for entry in parked
+                         if entry[2] == version[entry[1]])
+            parked.clear()
+            heapify(ready)
+
+    def _park_width(self, width: float,
+                    entry: tuple[float, str, int]) -> None:
+        parked = self._width_parked.get(width)
+        if parked is None:
+            parked = self._width_parked[width] = []
+            insort(self._widths, width)
+        heappush(parked, entry)
+        # live entries are at most one per tenant: once more than half
+        # are stale, rebuild (amortised O(1) per park; the 64 spares a
+        # small federation frequent rebuilds)
+        if len(parked) > 2 * len(self._version) + 64:
+            version = self._version
+            parked[:] = [item for item in parked
+                         if item[2] == version[item[1]]]
+            heapify(parked)
+
+    def _unparked_widths(self) -> int:
+        """How many of the parked widths (a prefix of ``_widths``) the
+        free processors now cover."""
+        fits_procs = self.allocator.fits_procs
+        count = 0
+        for width in self._widths:
+            if not fits_procs(width):
+                break
+            count += 1
+        return count
+
+    def _next_pick(self) -> str | None:
+        """The pending tenant with the lowest ``(share, name)`` whose head
+        can start now, or ``None``.
+
+        Candidates are the ready heap plus the heaps of the parked widths
+        the free processors cover, popped in merged key order; the first
+        head passing ``can_allocate`` and ``backend.fits`` is the pick.
+        Every head popped before it is parked by why it failed:
+        processors (until the free processors cover its width), quota
+        (until the tenant's own release), or the backend or memory
+        (until the next release or top-level pump).
+        """
+        allocator = self.allocator
+        version = self._version
+        queues = self.admission.queues
+        fits = self.backend.fits
+        unparked = self._unparked_widths()
+        heaps = [self._ready]
+        heaps += [self._width_parked[width]
+                  for width in self._widths[:unparked]]
+        while True:
+            source: list[tuple[float, str, int]] | None = None
+            for heap in heaps:
+                if heap and (source is None or heap[0] < source[0]):
+                    source = heap
+            if source is None:
+                # every unparked width heap is drained: drop them
+                for width in self._widths[:unparked]:
+                    del self._width_parked[width]
+                del self._widths[:unparked]
+                return None
+            entry = heappop(source)
+            name = entry[1]
+            if entry[2] != version[name]:
                 continue
-            head = queue[0]
-            if self.allocator.can_allocate(name, head.demand) \
-                    and self.backend.fits(head.req):
-                out.append(name)
-        return out
+            head = queues[name][0]
+            demand = head.demand
+            if not allocator.fits_procs(demand[0]):
+                self._park_width(demand[0], entry)
+            elif allocator.can_allocate(name, demand):
+                if fits(head.req):
+                    return name
+                self._backend_parked.append(entry)
+            elif not allocator.fits_capacity(demand):
+                # memory: only a completion frees it, as for the backend
+                self._backend_parked.append(entry)
+
+    def _violates_drf(self, pick: str) -> bool:
+        """The per-decision audit, independent of the heap: could any
+        tenant with a lower share than *pick* have started its head?"""
+        allocator = self.allocator
+        share = allocator.dominant_share
+        floor = share(pick)
+        fits_procs = allocator.fits_procs
+        fits = self.backend.fits
+        queues = self.admission.queues
+        for name, procs in self._head_procs.items():
+            if fits_procs(procs) and share(name) < floor:
+                head = queues[name][0]
+                if allocator.can_allocate(name, head.demand) \
+                        and fits(head.req):
+                    return True
+        return False
 
     def _pump(self) -> None:
         if self._in_pump:  # completions re-enter via on_complete
             return
         self._in_pump = True
         try:
+            self._unpark_backend()
+            queues = self.admission.queues
             while True:
-                eligible = self._eligible()
-                pick = self.allocator.pick(eligible)
+                pick = self._next_pick()
                 if pick is None:
                     return
                 self.outcome.drf_decisions += 1
-                if len(eligible) > 1:
-                    min_share = min(self.allocator.dominant_share(name)
-                                    for name in eligible)
-                    if self.allocator.dominant_share(pick) \
-                            > min_share + 1e-12:
-                        self.outcome.drf_violations += 1
-                self._dispatch(pick, self.admission.queues[pick].popleft())
+                if self._violates_drf(pick):
+                    self.outcome.drf_violations += 1
+                queue = queues[pick]
+                self._dispatch(pick, queue.popleft())
+                if queue:
+                    self._head_procs[pick] = queue[0].demand[0]
+                    self._push_ready(pick)
+                else:
+                    del self._head_procs[pick]
         finally:
             self._in_pump = False
 
@@ -272,6 +396,9 @@ class ReplayEngine:
 
     def _complete(self, tenant: str, job: QueuedJob) -> None:
         self.allocator.release(tenant, job.demand)
+        if self.admission.queues[tenant]:
+            self._push_ready(tenant)  # new share; lifts any park
+        self._unpark_backend()
         stats = self.outcome.tenants[tenant]
         stats.completed += 1
         stats.busy_proc_s += job.req.nproc * job.req.duration_s

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from repro.afg import GraphBuilder
+from repro.faults import FaultPlan, LinkFlap
 from repro.scheduling import (
     AllocationEntry,
     HostSelector,
@@ -26,6 +27,7 @@ from repro.util.errors import (
     QoSViolationError,
     SchedulingError,
 )
+from repro.workloads import linear_solver_graph, wide_area_testbed
 
 from .conftest import build_federation
 
@@ -155,6 +157,78 @@ class TestSiteScheduler:
         t2, _ = sched.schedule_with_selectors(g, selectors_for(federation))
         assert {n: e.hosts for n, e in t1.entries.items()} == \
             {n: e.hosts for n, e in t2.entries.items()}
+
+
+class TestWalkAcrossLinkCut:
+    """A consulted site cut off by a link fault between its answer and
+    the walk is no longer a candidate (the walk used to raise ``no WAN
+    path`` from ``Topology.transfer_time`` and strand the job)."""
+
+    def test_cut_off_site_is_dropped_from_the_walk(self, registry):
+        fed = build_federation(registry=registry)
+        g = solver_graph(registry)
+        g.node("gen-a").properties.preferred_site = "rome"
+        sched = SiteScheduler("syracuse", fed.topology, k_remote_sites=1)
+        results = {site: selector.select(g)
+                   for site, selector in selectors_for(fed).items()}
+        fed.topology.set_link_up("syracuse", "rome", False)
+        table, report = sched.schedule(g, results)
+        assert table.sites() == {"syracuse"}
+        assert report.consulted_sites == ["syracuse"]
+
+    def test_no_site_left_raises_no_feasible_host(self, registry):
+        fed = build_federation(registry=registry,
+                               constrain={"lu-decomposition": {"rome/h1"}})
+        g = solver_graph(registry)
+        sched = SiteScheduler("syracuse", fed.topology, k_remote_sites=1)
+        results = {site: selector.select(g)
+                   for site, selector in selectors_for(fed).items()}
+        fed.topology.set_link_up("syracuse", "rome", False)
+        with pytest.raises(NoFeasibleHostError):
+            sched.schedule(g, results)
+
+    def test_link_flap_between_answer_and_walk(self, monkeypatch):
+        """``k_remote_sites=1`` on a live chain: the remote site answers,
+        then a :class:`LinkFlap` cuts the chain before the walk runs."""
+        walks: list[float] = []
+        schedule = SiteScheduler.schedule
+
+        def spy(self, graph, results, *args, **kwargs):
+            walks.append(vdce.now)
+            return schedule(self, graph, results, *args, **kwargs)
+
+        monkeypatch.setattr(SiteScheduler, "schedule", spy)
+
+        def submit(plan=None):
+            vdce = wide_area_testbed(n_sites=3, hosts_per_site=3, seed=5,
+                                     trace=False)
+            vdce.start()
+            vdce.warm_up(10.0)
+            if plan is not None:
+                vdce.apply_fault_plan(plan)
+            graph = linear_solver_graph(vdce.registry, n=40)
+            for nid in graph.nodes:
+                if not graph.predecessors(nid):
+                    graph.node(nid).properties.preferred_site = "site0"
+            return vdce, graph
+
+        # fault-free: site0 answers and the entry tasks run there
+        vdce, graph = submit()
+        run = vdce.run_application(graph, "site1", k_remote_sites=1,
+                                   max_sim_time_s=600)
+        assert run.status == "completed"
+        assert "site0" in run.table.sites()
+        # the same submission with the chain cut just before the walk,
+        # after site0's answer is on the wire
+        cut_at = walks[-1] - 1e-3
+        vdce, graph = submit(FaultPlan([LinkFlap(
+            "site0", "site1", at=cut_at, down_s=12.0, cycles=1)]))
+        run = vdce.run_application(graph, "site1", k_remote_sites=1,
+                                   max_sim_time_s=600)
+        assert walks[-1] > cut_at
+        assert vdce.env.failed_processes == []
+        assert run.status == "completed"
+        assert run.table.sites() == {"site1"}
 
 
 class TestAllocationTable:

@@ -20,6 +20,7 @@ from repro.traffic import (
     fairness_stats,
     make_tenants,
 )
+from repro.util.rng import RngRegistry
 
 
 def allocator(tenants=None, procs=100, mem=100_000.0):
@@ -42,6 +43,64 @@ class TestAllocator:
         alloc = allocator()
         with pytest.raises(ValueError, match="released more"):
             alloc.release("t00", (1.0, 0.0))
+        alloc.allocate("t00", (4.0, 1024.0))
+        with pytest.raises(ValueError, match="released more"):
+            alloc.release("t00", (2.0, 2048.0))
+        # the refused release left every counter as it was
+        assert alloc.allocated("t00") == (4.0, 1024.0)
+        assert alloc.free() == (96.0, 98_976.0)
+        assert alloc.dominant_share("t00") == 0.04
+
+    def test_fits_procs_is_the_processor_half_of_fits_capacity(self):
+        alloc = allocator(procs=10, mem=10_000.0)
+        alloc.allocate("t00", (7.0, 100.0))
+        assert alloc.fits_procs(3.0) and alloc.fits_procs(3.0 + 1e-10)
+        assert not alloc.fits_procs(3.5)
+        for procs in (1.0, 3.0, 3.5, 4.0):
+            assert alloc.fits_procs(procs) \
+                == alloc.fits_capacity((procs, 0.0))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_cached_share_and_free_match_recomputation(self, seed):
+        """The cached free vector and shares equal, bit for bit, the
+        expressions recomputed from the raw counters after every step."""
+        rng = RngRegistry(seed).stream("drf-cache")
+        tenants = {f"t{i}": TenantRecord(name=f"t{i}",
+                                         weight=float(rng.uniform(0.3, 3.0)))
+                   for i in range(5)}
+        capacity = (96.0, 96 * 512.0)
+        alloc = DRFAllocator(capacity[0], capacity[1], tenants)
+        vec = {name: [0.0, 0.0] for name in tenants}
+        used = [0.0, 0.0]
+        held: list[tuple[str, tuple[float, float]]] = []
+        for _ in range(400):
+            if held and rng.random() < 0.45:
+                name, demand = held.pop(int(rng.integers(len(held))))
+                alloc.release(name, demand)
+                sign = -1.0
+            else:
+                name = sorted(tenants)[int(rng.integers(len(tenants)))]
+                demand = alloc.demand_of(int(rng.integers(1, 9)),
+                                         float(rng.choice([192.0, 224.0,
+                                                           320.0, 384.0])))
+                if not alloc.fits_capacity(demand):
+                    continue
+                alloc.allocate(name, demand)
+                held.append((name, demand))
+                sign = 1.0
+            for axis in (0, 1):
+                if sign > 0:
+                    vec[name][axis] += demand[axis]
+                    used[axis] += demand[axis]
+                else:
+                    vec[name][axis] -= demand[axis]
+                    used[axis] -= demand[axis]
+            assert alloc.free() == (capacity[0] - used[0],
+                                    capacity[1] - used[1])
+            for other, record in tenants.items():
+                share = max(vec[other][0] / capacity[0],
+                            vec[other][1] / capacity[1]) / record.weight
+                assert alloc.dominant_share(other) == share
 
     def test_dominant_share_is_max_axis_over_weight(self):
         tenants = {"a": TenantRecord(name="a", weight=2.0),
