@@ -103,6 +103,8 @@ class VDCE:
         #: federation membership view, created by :meth:`enable_membership`
         self.federation: Federation | None = None
         self.repositories: dict[str, SiteRepository] = {}
+        self.rescheduler = Rescheduler(self.repositories,
+                                       policy=self.reschedule_policy)
         self.site_managers: dict[str, SiteManager] = {}
         self.group_managers: dict[tuple[str, str], GroupManager] = {}
         self.monitors: dict[str, MonitorDaemon] = {}
@@ -407,8 +409,6 @@ class VDCE:
         attempt = entry_payload.get("attempt", 0) + 1
         node = run.graph.node(node_id)
         current = run.table.get(node_id)
-        rescheduler = Rescheduler(self.repositories,
-                                  policy=self.reschedule_policy)
         exclude = {payload["host"]}
         # degraded mode: never re-queue into a partition — the request's
         # own excluded sites plus whatever the coordinating site's
@@ -419,14 +419,15 @@ class VDCE:
                 self.federation.quarantined(run.report.local_site))
         forced = attempt > self.reschedule_policy.max_attempts
         try:
-            new_entry = rescheduler.reschedule(node, current,
-                                               exclude_hosts=exclude,
-                                               exclude_sites=exclude_sites)
+            new_entry = self.rescheduler.reschedule(
+                node, current, exclude_hosts=exclude,
+                exclude_sites=exclude_sites)
         except VDCEError:
             # nowhere to go: force re-execution where it was
             new_entry = current
             forced = True
-        run.table.reassign(new_entry) if new_entry is not current else None
+        if new_entry is not current:
+            run.table.reassign(new_entry)
         run.reschedules += 1
         local_site = run.report.local_site if run.report else \
             sorted(self.site_managers)[0]

@@ -295,6 +295,15 @@ class HostSelector:
             view.cursor = gen
         return view
 
+    def best_single_host(self, node: TaskNode, exclude: set[str]
+                         ) -> tuple[float, str] | None:
+        """Minimum (estimate, address) in *node*'s processors=1 view
+        outside *exclude*, or None.  Records no sanitizer access: it
+        serves the Rescheduler's own selectors, never a site manager's."""
+        scores = self._view_for(node, 1).scores
+        return min(((est, addr) for addr, est in scores.items()
+                    if addr not in exclude), default=None)
+
     def _top_n(self, view: _ClassView, n: int
                ) -> tuple[tuple[str, float], ...]:
         """The view's n best (addr, est) pairs, cached per generation."""

@@ -8,19 +8,18 @@ handled the same way: a task on a host that stops answering keep-alives
 is rescheduled and the host excluded.
 
 The :class:`Rescheduler` re-runs host selection for a single task against
-the *current* repository view, excluding the hosts that triggered the
-request.
+per-site score views the repositories' delta journals keep current,
+excluding the hosts that triggered the request.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from repro.afg.graph import TaskNode
-from repro.prediction.predict import PerformancePredictor
 from repro.repository.site_repository import SiteRepository
 from repro.scheduling.allocation import AllocationEntry
+from repro.scheduling.host_selection import HostSelector
 from repro.util.errors import NoFeasibleHostError
 
 
@@ -30,9 +29,6 @@ class ReschedulePolicy:
 
     #: terminate + reschedule when observed load exceeds this
     load_threshold: float = 2.0
-    #: minimum predicted improvement factor required to move (avoids
-    #: thrashing between near-equal hosts)
-    min_improvement: float = 1.15
     #: maximum times one task may be rescheduled
     max_attempts: int = 3
 
@@ -41,16 +37,17 @@ class ReschedulePolicy:
 
 
 class Rescheduler:
-    """Pick a replacement host for one task, excluding bad hosts."""
+    """Pick a replacement host for one task, excluding bad hosts.
+
+    Holds one long-lived :class:`HostSelector` per site (its own, not
+    the site managers'), rebuilt when a site's repository is replaced.
+    """
 
     def __init__(self, repositories: dict[str, SiteRepository],
-                 predictor_factory: Callable[
-                     [SiteRepository], PerformancePredictor] | None = None,
                  policy: ReschedulePolicy | None = None) -> None:
         self.repositories = repositories
         self.policy = policy or ReschedulePolicy()
-        self._predictor_factory = predictor_factory or (
-            lambda repo: PerformancePredictor(repo.task_performance))
+        self._selectors: dict[str, HostSelector] = {}
 
     def reschedule(self, node: TaskNode, current: AllocationEntry,
                    exclude_hosts: set[str] | None = None,
@@ -59,7 +56,7 @@ class Rescheduler:
         """New allocation for *node*, avoiding *exclude_hosts*.
 
         Considers every site's current view; raises
-        :class:`NoFeasibleHostError` when nowhere better exists.
+        :class:`NoFeasibleHostError` when no feasible host remains.
         *exclude_sites* removes whole sites from consideration — the
         degraded-mode path passes the observer's quarantined set so a
         task lost to a partition is never re-queued back into it.  A
@@ -70,34 +67,23 @@ class Rescheduler:
         """
         exclude = set(exclude_hosts or ()) | set(current.hosts)
         skip_sites = exclude_sites or set()
-        best: AllocationEntry | None = None
+        selectors = self._selectors
+        for gone in [s for s in selectors if s not in self.repositories]:
+            del selectors[gone]
+        best: tuple[float, str, str] | None = None
         for site, repo in sorted(self.repositories.items()):
             if site in skip_sites:
                 continue
-            predictor = self._predictor_factory(repo)
-            records = [
-                rec for rec in repo.resource_performance.hosts_at(site)
-                if rec.address not in exclude
-                and repo.task_constraints.is_runnable_on(node.task_name,
-                                                         rec.address)
-                and (node.properties.machine_type is None
-                     or rec.arch == node.properties.machine_type)
-            ]
-            if not records:
-                continue
-            try:
-                pred = predictor.best_host(node.definition,
-                                           node.properties.input_size,
-                                           records)
-            except NoFeasibleHostError:
-                continue
-            if best is None or pred.estimate_s < best.predicted_time_s:
-                best = AllocationEntry(
-                    node_id=node.node_id, task_name=node.task_name,
-                    site=site, hosts=(pred.host,),
-                    predicted_time_s=pred.estimate_s)
+            selector = selectors.get(site)
+            if selector is None or selector.repository is not repo:
+                selector = selectors[site] = HostSelector(repo)
+            found = selector.best_single_host(node, exclude)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = (*found, site)
         if best is None:
             raise NoFeasibleHostError(
                 f"no replacement host for task {node.node_id!r} "
                 f"(excluded: {sorted(exclude)})")
-        return best
+        return AllocationEntry(node_id=node.node_id, task_name=node.task_name,
+                               site=best[2], hosts=(best[1],),
+                               predicted_time_s=best[0])
