@@ -71,14 +71,8 @@ class VDCE:
                  filter_policy: str = "ci",
                  reschedule_policy: ReschedulePolicy | None = None,
                  weight_jitter: float = 0.10,
-                 obs: Observability | None = None,
-                 batching: bool = True,
-                 coalesce_updates: bool = True) -> None:
+                 obs: Observability | None = None) -> None:
         self.world = VDCEnvironment(seed=seed, trace=trace)
-        #: coalesce same-tick message fan-outs into batched delivery
-        #: events; traces are byte-identical either way (chaos CI pins
-        #: this), ``False`` keeps the one-process-per-message path.
-        self.world.network.batching = batching
         #: observability handle threaded through every daemon; inert
         #: (the shared OBS_OFF singleton) unless one is supplied.
         self.obs = obs if obs is not None else OBS_OFF
@@ -92,10 +86,6 @@ class VDCE:
         self.echo_timeout_s = echo_timeout_s
         self.filter_policy = filter_policy
         self.reschedule_policy = reschedule_policy or ReschedulePolicy()
-        #: Group Managers coalesce same-tick forwarded monitor samples
-        #: into one batched WORKLOAD_UPDATE per round; repository and
-        #: WAL *content* is identical either way (per-sample apply)
-        self.coalesce_updates = coalesce_updates
         self.failures = FailureInjector(self.world.env, self.world.tracer)
         self.fault_injector: FaultInjector | None = None
         #: failover brain, created lazily by :meth:`enable_failover`
@@ -260,8 +250,7 @@ class VDCE:
                 echo_period_s=self.echo_period_s,
                 echo_timeout_s=self.echo_timeout_s,
                 change_filter=ChangeFilter(policy=self.filter_policy),
-                tracer=self.tracer, obs=self.obs,
-                coalesce_updates=self.coalesce_updates)
+                tracer=self.tracer, obs=self.obs)
             sm.register_group_manager(gm)
             self.group_managers[(site_name, group)] = gm
             for member in members:

@@ -87,22 +87,15 @@ class Network:
 
     __slots__ = ("env", "topology", "tracer", "per_message_overhead_s",
                  "stats", "_mailboxes", "is_up", "fault_hook", "obs",
-                 "batching",
                  "_m_messages", "_m_bytes", "_m_dropped", "_m_delay")
 
     def __init__(self, env: Environment, topology: Topology,
                  tracer: Tracer | None = None,
-                 per_message_overhead_s: float = 1e-4,
-                 batching: bool = True) -> None:
+                 per_message_overhead_s: float = 1e-4) -> None:
         self.env = env
         self.topology = topology
         self.tracer = tracer or Tracer(enabled=False)
         self.per_message_overhead_s = per_message_overhead_s
-        #: coalesce same-tick fan-outs (:meth:`send_batch`) into vector
-        #: heap entries; ``False`` degrades every batch to a loop of
-        #: :meth:`send` — byte-identical traces either way (the chaos CI
-        #: jobs assert exactly that), just slower.
-        self.batching = batching
         self.stats = TrafficStats()
         self._mailboxes: dict[str, Store] = {}
         #: predicate deciding whether the *host* owning an address is up;
@@ -300,21 +293,14 @@ class Network:
 
         *payloads* / *sizes*, when given, are per-destination overrides
         aligned with *dsts* (the allocation push sends a different
-        portion to every host).  With ``self.batching`` false the call
-        degrades to the plain loop, which the chaos byte-identity CI
-        probes compare against.
+        portion to every host).  The plain loop it replaces is kept in
+        ``tests/network_oracle.py``; the byte-identity tests run whole
+        chaos scenarios both ways.
         """
         if payloads is not None and len(payloads) != len(dsts):
             raise ConfigurationError("payloads must align with dsts")
         if sizes is not None and len(sizes) != len(dsts):
             raise ConfigurationError("sizes must align with dsts")
-        if not self.batching:
-            return [
-                self.send(src, dsts[i], kind,
-                          payload if payloads is None else payloads[i],
-                          size_bytes if sizes is None else sizes[i])
-                for i in range(len(dsts))
-            ]
         env = self.env
         now = env._now
         stats = self.stats

@@ -160,14 +160,9 @@ class SiteManager:
 
     # -- repository updates -----------------------------------------------
     def _on_workload_update(self, msg) -> None:
-        # A coalescing Group Manager ships {"samples": [...]}; the
-        # uncoalesced path ships one bare sample.  Both apply (and WAL)
-        # per sample, in arrival order, so replication and repository
-        # bytes are identical with coalescing on or off.
-        payload = msg.payload
-        samples = (payload["samples"] if isinstance(payload, dict)
-                   and "samples" in payload else [payload])
-        for sample in samples:
+        # The Group Manager ships a round's samples as {"samples": [...]};
+        # each applies (and WALs) on its own, in arrival order.
+        for sample in msg.payload["samples"]:
             self._log("workload-update", dict(sample))
             self.repository.resource_performance.update_dynamic(
                 sample["host"], cpu_load=sample["cpu_load"],

@@ -104,40 +104,34 @@ class HostSelectionResult:
 class HostSelector:
     """Figure 5, evaluated against one site's repository.
 
-    With ``incremental=True`` (the default) the selector keeps one
-    :class:`_ClassView` of candidate scores per task equivalence class
-    and consumes the repository's :class:`DeltaTracker` journal between
-    rounds — only hosts dirtied by a monitoring update, membership flip,
-    weight refinement, or constraint edit are re-scored.  The
-    ``incremental=False`` path re-walks every candidate from scratch and
-    is retained verbatim as the differential-testing oracle.
+    The selector keeps one :class:`_ClassView` of candidate scores per
+    task equivalence class and consumes the repository's
+    :class:`DeltaTracker` journal between rounds — only hosts dirtied by
+    a monitoring update, membership flip, weight refinement, or
+    constraint edit are re-scored.  The full re-walk of every candidate
+    it replaces is kept as the differential-testing oracle in
+    ``tests/host_selection_oracle.py``.
     """
 
     def __init__(self, repository: SiteRepository,
-                 predictor: PerformancePredictor | None = None,
-                 enforce_constraints: bool = True,
-                 incremental: bool = True) -> None:
+                 predictor: PerformancePredictor | None = None) -> None:
         self.repository = repository
         self.predictor = predictor or PerformancePredictor(
             repository.task_performance)
-        self.enforce_constraints = enforce_constraints
-        self.incremental = incremental
         self._views: dict[tuple[str, float, int, str | None], _ClassView] = {}
         self._tracker: DeltaTracker = repository.delta
 
     def _hb_note(self, node: TaskNode) -> None:
         """Report this selection round to the attached sanitizer: reads
-        of the site's repository DBs, plus (incrementally) a write to
-        this selector's view cell — the cursor, score and ranked caches
-        all mutate, so a selector shared across unordered same-tick
-        contexts is a real hazard."""
+        of the site's repository DBs, plus a write to this selector's
+        view cell — the cursor, score and ranked caches all mutate, so a
+        selector shared across unordered same-tick contexts is a real
+        hazard."""
         hb = hooks.HB
         site = self.repository.site
         hb.read(site, "resource_performance", node.task_name)
         hb.read(site, "task_constraints", node.task_name)
-        if self.incremental:
-            hb.write(site, hb.name_for(self, "selector-view"),
-                     node.task_name)
+        hb.write(site, hb.name_for(self, "selector-view"), node.task_name)
 
     # -- candidate filtering ---------------------------------------------
     def feasible_records(self, node: TaskNode) -> list[ResourceRecord]:
@@ -150,8 +144,7 @@ class HostSelector:
         for rec in records:
             if machine_type is not None and rec.arch != machine_type:
                 continue
-            if self.enforce_constraints and not constraints.is_runnable_on(
-                    node.task_name, rec.address):
+            if not constraints.is_runnable_on(node.task_name, rec.address):
                 continue
             out.append(rec)
         return out
@@ -175,9 +168,8 @@ class HostSelector:
         machine_type = node.properties.machine_type
         if machine_type is not None and rec.arch != machine_type:
             return None
-        if self.enforce_constraints and not (
-                self.repository.task_constraints.is_runnable_on(
-                    node.task_name, addr)):
+        if not self.repository.task_constraints.is_runnable_on(
+                node.task_name, addr):
             return None
         return self.predictor.estimate(
             node.definition, node.properties.input_size, rec, processors)
@@ -313,9 +305,20 @@ class HostSelector:
             view.top[n] = top
         return top
 
-    def _select_ranked_incremental(
-            self, node: TaskNode, processors: int,
-            max_alternatives: int) -> tuple[HostChoice, ...]:
+    # -- per-task selection -------------------------------------------------
+    def select_ranked(self, node: TaskNode,
+                      max_alternatives: int = 3) -> tuple[HostChoice, ...]:
+        """The best hosts for one task, ascending by predicted time.
+
+        The paper's algorithm only uses the first entry; the queue-aware
+        extension consults the alternatives.  Parallel tasks have a
+        single (multi-host) choice.
+        """
+        if hooks.HB is not None:
+            self._hb_note(node)
+        props = node.properties
+        processors = (props.processors
+                      if props.computation_mode == "parallel" else 1)
         view = self._view_for(node, processors)
         cache_key = (node.node_id, max_alternatives)
         cached = view.ranked.get(cache_key)
@@ -328,6 +331,8 @@ class HostSelector:
                 f"site {site!r}: no feasible host for "
                 f"task {node.node_id!r} ({node.task_name})")
         if processors > 1:
+            # Parallel extension: the p best hosts within the site; the
+            # parallel execution time is bounded by the slowest one.
             if len(scores) < processors:
                 raise NoFeasibleHostError(
                     f"site {site!r}: task {node.node_id!r} "
@@ -346,93 +351,9 @@ class HostSelector:
         view.ranked[cache_key] = result
         return result
 
-    # -- per-task selection -------------------------------------------------
-    def select_ranked(self, node: TaskNode,
-                      max_alternatives: int = 3) -> tuple[HostChoice, ...]:
-        """The best hosts for one task, ascending by predicted time.
-
-        The paper's algorithm only uses the first entry; the queue-aware
-        extension consults the alternatives.  Parallel tasks have a
-        single (multi-host) choice.
-        """
-        if hooks.HB is not None:
-            self._hb_note(node)
-        if self.incremental:
-            props = node.properties
-            processors = (props.processors
-                          if props.computation_mode == "parallel" else 1)
-            return self._select_ranked_incremental(node, processors,
-                                                   max_alternatives)
-        records = self.feasible_records(node)
-        if not records:
-            raise NoFeasibleHostError(
-                f"site {self.repository.site!r}: no feasible host for "
-                f"task {node.node_id!r} ({node.task_name})")
-        props = node.properties
-        processors: int = (props.processors
-                           if props.computation_mode == "parallel" else 1)
-        if processors > 1:
-            return (self._select_parallel(node, records, processors),)
-        preds = sorted(
-            (self.predictor.predict(node.definition, props.input_size, rec)
-             for rec in records if rec.status == "up"),
-            key=lambda p: (p.estimate_s, p.host))
-        if not preds:
-            raise NoFeasibleHostError(
-                f"site {self.repository.site!r}: every feasible host for "
-                f"{node.node_id!r} is down")
-        return tuple(
-            HostChoice(node_id=node.node_id, site=self.repository.site,
-                       hosts=(p.host,), predicted_time_s=p.estimate_s)
-            for p in preds[:max_alternatives])
-
     def select_for_task(self, node: TaskNode) -> HostChoice:
         """Minimum-``Predict`` host(s) at this site for one task."""
-        if hooks.HB is not None:
-            self._hb_note(node)
-        if self.incremental:
-            props = node.properties
-            processors = (props.processors
-                          if props.computation_mode == "parallel" else 1)
-            return self._select_ranked_incremental(node, processors, 1)[0]
-        records = self.feasible_records(node)
-        if not records:
-            raise NoFeasibleHostError(
-                f"site {self.repository.site!r}: no feasible host for "
-                f"task {node.node_id!r} ({node.task_name})")
-        props = node.properties
-        processors = (props.processors
-                      if props.computation_mode == "parallel" else 1)
-        if processors == 1:
-            best = self.predictor.best_host(node.definition,
-                                            props.input_size, records)
-            return HostChoice(node_id=node.node_id,
-                              site=self.repository.site,
-                              hosts=(best.host,),
-                              predicted_time_s=best.estimate_s)
-        return self._select_parallel(node, records, processors)
-
-    def _select_parallel(self, node: TaskNode,
-                         records: list[ResourceRecord],
-                         processors: int) -> HostChoice:
-        # Parallel extension: pick the p best hosts within the site; the
-        # parallel execution time is bounded by the slowest participant.
-        records = [rec for rec in records if rec.status == "up"]
-        if len(records) < processors:
-            raise NoFeasibleHostError(
-                f"site {self.repository.site!r}: task {node.node_id!r} "
-                f"needs {processors} hosts, only {len(records)} feasible")
-        preds = sorted(
-            (self.predictor.predict(node.definition,
-                                    node.properties.input_size, rec,
-                                    processors=processors)
-             for rec in records),
-            key=lambda p: (p.estimate_s, p.host))
-        chosen = preds[:processors]
-        return HostChoice(node_id=node.node_id, site=self.repository.site,
-                          hosts=tuple(p.host for p in chosen),
-                          predicted_time_s=max(p.estimate_s for p in chosen),
-                          processors=processors)
+        return self.select_ranked(node, 1)[0]
 
     # -- whole-graph selection (the figure's task_queue loop) -------------------
     def select(self, graph: ApplicationFlowGraph,

@@ -1,10 +1,11 @@
 """Chaos suite: batched delivery is byte-invisible to every trace.
 
-PR 7's batched event delivery must be a pure kernel optimisation:
-``batching=False`` degrades every :meth:`Network.send_batch` to the
-loop of plain sends it replaces, and two same-seed runs — one per mode
-— must be *byte-identical* in the fault-injector log and the Chrome
-trace, and equal in every outcome scalar.  Fault-hook consultations
+Batched event delivery must be a pure kernel optimisation:
+``tests.network_oracle.unbatched()`` routes every
+:meth:`Network.send_batch` through the loop of plain sends it replaces,
+and two same-seed runs — one each way — must be *byte-identical* in the
+fault-injector log and the Chrome trace, and equal in every outcome
+scalar.  Fault-hook consultations
 happen per message in destination order either way, so the injector's
 RNG draws, drops, and duplicates cannot diverge.  CI asserts this
 inside the chaos job (see ``.github/workflows/ci.yml``).
@@ -13,12 +14,14 @@ inside the chaos job (see ``.github/workflows/ci.yml``).
 import json
 
 from tests.chaos.harness import assert_invariants, run_chaos
+from tests.network_oracle import unbatched as unbatched_sends
 
 
 class TestBatchingIdentity:
     def test_fault_log_and_outcome_identical(self, chaos_seed):
         batched = run_chaos(chaos_seed)
-        unbatched = run_chaos(chaos_seed, batching=False)
+        with unbatched_sends():
+            unbatched = run_chaos(chaos_seed)
         assert batched.plan == unbatched.plan
         assert batched.fault_log == unbatched.fault_log  # byte-identical
         assert batched.status == unbatched.status
@@ -31,7 +34,8 @@ class TestBatchingIdentity:
 
     def test_chrome_trace_byte_identical(self, chaos_seed):
         batched = run_chaos(chaos_seed, obs=True)
-        unbatched = run_chaos(chaos_seed, obs=True, batching=False)
+        with unbatched_sends():
+            unbatched = run_chaos(chaos_seed, obs=True)
         assert batched.chrome_trace is not None
         assert batched.chrome_trace == unbatched.chrome_trace
         json.loads(batched.chrome_trace)  # still well-formed JSON

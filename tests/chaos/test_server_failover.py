@@ -20,6 +20,7 @@ from pathlib import Path
 from repro.faults import FaultPlan, HostCrash, ServerCrash
 
 from tests.chaos.harness import assert_invariants, run_chaos
+from tests.network_oracle import unbatched as unbatched_sends
 
 STANDBYS = {"syracuse": ["h1", "h2"], "rome": ["h1", "h2"]}
 
@@ -159,14 +160,16 @@ class TestFailoverDeterminism:
 
     def test_batching_off_byte_identical(self, chaos_seed):
         """WAL shipping, heartbeats, and the re-push all ride
-        ``send_batch`` now; degrading every batch to plain sends must
-        leave the failover machinery's traces byte-for-byte unchanged."""
+        ``send_batch``; routing every batch through the loop of plain
+        sends must leave the failover machinery's traces byte-for-byte
+        unchanged."""
         batched = run_chaos(chaos_seed, obs=True,
                             failover_standbys=STANDBYS,
                             plan=SERVER_CRASH_PLAN)
-        unbatched = run_chaos(chaos_seed, obs=True,
-                              failover_standbys=STANDBYS,
-                              plan=SERVER_CRASH_PLAN, batching=False)
+        with unbatched_sends():
+            unbatched = run_chaos(chaos_seed, obs=True,
+                                  failover_standbys=STANDBYS,
+                                  plan=SERVER_CRASH_PLAN)
         assert batched.fault_log == unbatched.fault_log
         assert batched.chrome_trace == unbatched.chrome_trace
         assert batched.failovers == unbatched.failovers

@@ -28,6 +28,8 @@ from repro.scheduling import available_schedulers
 from repro.scheduling.makespan import evaluate_schedule
 from repro.util.errors import ConfigurationError
 
+from .host_selection_oracle import FullWalkHostSelector
+
 
 def small_config(**overrides):
     defaults = dict(
@@ -58,14 +60,17 @@ class TestDeterminism:
         b = run_bakeoff(small_config(seed=1), registry=registry).to_json()
         assert a != b
 
-    def test_incremental_off_byte_identical_json(self, registry):
-        """PR 7's regression probe: delta-aware host selection must be
-        invisible in the serialized result — same schedulers, same
-        workloads, same bytes — with only the hot-path cost differing."""
+    def test_incremental_off_byte_identical_json(self, registry,
+                                                 monkeypatch):
+        """Delta-aware host selection must be invisible in the
+        serialized result — same schedulers, same workloads, same bytes
+        — against the full-walk oracle selector in every site
+        scheduler, with only the hot-path cost differing."""
         config = small_config(schedulers=("site", "heft", "optimal"))
         on = run_bakeoff(config, registry=registry).to_json()
-        off = run_bakeoff(config, registry=registry,
-                          incremental=False).to_json()
+        monkeypatch.setattr("repro.scheduling.site_scheduler.HostSelector",
+                            FullWalkHostSelector)
+        off = run_bakeoff(config, registry=registry).to_json()
         assert on == off
 
     def test_dropping_a_scheduler_leaves_others_untouched(self, registry):

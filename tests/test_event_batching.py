@@ -7,11 +7,14 @@ pending-put event on unbounded mailboxes, and :meth:`Network.send_batch`
 coalesces consecutive same-delay messages onto one entry.  The contract
 is *semantic equivalence*: a batch must be indistinguishable — message
 contents, arrival order, stats, fault-hook consultations, simulated
-clock — from the loop of plain ``send`` calls it replaces (which
-``batching=False`` still performs, and the chaos CI compares against).
+clock — from the loop of plain ``send`` calls it replaces (kept as
+``tests/network_oracle.py``, which the chaos byte-identity tests also
+run whole scenarios through).
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import pytest
 
@@ -24,6 +27,8 @@ from repro.util.errors import (
     ConfigurationError,
     SimulationError,
 )
+
+from .network_oracle import send_batch_unbatched
 
 
 # ---------------------------------------------------------------------------
@@ -112,13 +117,13 @@ class TestPutNowait:
 # the network fan-out
 # ---------------------------------------------------------------------------
 
-def make_net(batching: bool) -> tuple[Environment, Network]:
+def make_net() -> tuple[Environment, Network]:
     env = Environment()
     topo = Topology()
     topo.add_site("s1")
     topo.add_site("s2")
     topo.connect("s1", "s2", ATM_OC3)
-    return env, Network(env, topo, batching=batching)
+    return env, Network(env, topo)
 
 
 def drain(box) -> list:
@@ -133,7 +138,7 @@ def drain(box) -> list:
 
 def run_fanout(batching: bool, hook=None):
     """One mixed intra-/cross-site fan-out; returns observables."""
-    env, net = make_net(batching)
+    env, net = make_net()
     net.register("s1/h0/src")
     dsts = [f"s1/h{i}/svc" for i in range(1, 4)] \
         + [f"s2/h{i}/svc" for i in range(1, 3)]
@@ -142,8 +147,10 @@ def run_fanout(batching: bool, hook=None):
         net.fault_hook = hook
     payloads = [f"portion-{i}" for i in range(len(dsts))]
     sizes = [128.0 * (i + 1) for i in range(len(dsts))]
-    msgs = net.send_batch("s1/h0/src", dsts, "alloc",
-                          payloads=payloads, sizes=sizes)
+    send_batch = (net.send_batch if batching
+                  else partial(send_batch_unbatched, net))
+    msgs = send_batch("s1/h0/src", dsts, "alloc",
+                      payloads=payloads, sizes=sizes)
     env.run()
     return {
         "sent": [(m.src, m.dst, m.kind, m.payload, m.size_bytes)
@@ -182,7 +189,7 @@ class TestBatchEquivalence:
         assert len(batched["delivered"]["s2/h1/svc"]) == 2  # duplicated
 
     def test_multicast_rides_send_batch(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         boxes = [net.register(f"s1/h{i}/svc") for i in range(1, 4)]
         net.multicast("s1/h0/src", (f"s1/h{i}/svc" for i in range(1, 4)),
@@ -195,7 +202,7 @@ class TestBatchEquivalence:
 
 class TestBatchSemantics:
     def test_same_delay_run_shares_one_heap_entry(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         dsts = [f"s1/h{i}/svc" for i in range(1, 101)]
         for dst in dsts:
@@ -209,7 +216,7 @@ class TestBatchSemantics:
         assert net.stats.dropped == 0
 
     def test_down_destination_dropped_at_send(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         boxes = {f"s1/h{i}/svc": net.register(f"s1/h{i}/svc")
                  for i in (1, 2)}
@@ -221,7 +228,7 @@ class TestBatchSemantics:
         assert len(drain(boxes["s1/h2/svc"])) == 1
 
     def test_mid_flight_down_drops_on_arrival(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         box = net.register("s1/h1/svc")
         net.send_batch("s1/h0/src", ["s1/h1/svc"], "ping")
@@ -231,7 +238,7 @@ class TestBatchSemantics:
         assert drain(box) == []
 
     def test_misaligned_overrides_rejected(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         net.register("s1/h1/svc")
         with pytest.raises(ConfigurationError):
@@ -242,7 +249,7 @@ class TestBatchSemantics:
                            sizes=[1.0, 2.0])
 
     def test_unregistered_destination_raises(self):
-        env, net = make_net(batching=True)
+        env, net = make_net()
         net.register("s1/h0/src")
         with pytest.raises(ChannelError):
             net.send_batch("s1/h0/src", ["s1/ghost/svc"], "x")

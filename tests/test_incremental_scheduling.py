@@ -1,12 +1,13 @@
 """Differential tests: incremental host selection equals the full re-walk.
 
-The incremental selector (PR 7) keeps per-task-class score views and
-consumes the repository's :class:`DeltaTracker` journal between rounds;
-the ``incremental=False`` path re-walks every candidate from scratch
-and is retained verbatim as the oracle.  These tests drive both
-selectors through randomized-but-seeded repository mutation sequences
-— monitoring updates, up/down flips, weight refinements, constraint
-edits, host removal and re-registration — and demand *identical*
+The production selector keeps per-task-class score views and consumes
+the repository's :class:`DeltaTracker` journal between rounds;
+:class:`FullWalkHostSelector` (``tests/host_selection_oracle.py``)
+re-walks every candidate from scratch and is the oracle.  These tests
+drive both selectors through randomized-but-seeded repository mutation
+sequences — monitoring updates, up/down flips, weight refinements,
+constraint edits, host removal and re-registration — and demand
+*identical*
 answers: the same choices, the same (estimate, address) tie-breaks, the
 same ranked alternatives, the same infeasibility verdicts, and exactly
 equal predicted floats (both paths share the predictor arithmetic).
@@ -24,6 +25,7 @@ from repro.util.rng import RngRegistry
 from repro.workloads import random_layered_graph
 
 from .conftest import build_federation
+from .host_selection_oracle import FullWalkHostSelector
 
 SITE = "syracuse"
 
@@ -111,7 +113,7 @@ class TestDifferentialOracle:
         repo = fed.repositories[SITE]
         graph = make_graph(registry, seed)
         incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
+        oracle = FullWalkHostSelector(repo)
         rng = RngRegistry(seed).stream("mutations")
         removed_specs: list[HostSpec] = []
         tasks = sorted({graph.node(n).task_name for n in graph.nodes})
@@ -126,7 +128,7 @@ class TestDifferentialOracle:
         repo = fed.repositories[SITE]
         graph = make_graph(registry, 1)
         incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
+        oracle = FullWalkHostSelector(repo)
         assert_same_selection(incremental, oracle, graph)
         # shrink the journal bound so the burst below compacts it past
         # every cursor the selector holds
@@ -155,7 +157,7 @@ class TestDifferentialOracle:
         repo = fed.repositories[SITE]
         graph = make_graph(registry, 1)
         incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
+        oracle = FullWalkHostSelector(repo)
         assert_same_selection(incremental, oracle, graph)  # views built
         repo.delta.max_journal = 4
         rp = repo.resource_performance
@@ -196,7 +198,7 @@ class TestDifferentialOracle:
         b.task("lu-decomposition", "lu", input_size=50)
         node = b.graph.node("lu")
         incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
+        oracle = FullWalkHostSelector(repo)
         assert incremental.select_for_task(node) \
             == oracle.select_for_task(node)
         constraints = repo.task_constraints
@@ -220,7 +222,7 @@ class TestDifferentialOracle:
         b.task("lu-decomposition", "lu", input_size=50)
         node = b.graph.node("lu")
         incremental = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
+        oracle = FullWalkHostSelector(repo)
         winner = incremental.select_for_task(node).hosts[0]
         spec = spec_of(repo.resource_performance.get(winner))
         repo.resource_performance.unregister_host(winner)
@@ -261,7 +263,7 @@ class TestRankedCacheCoherence:
         b.task("lu-decomposition", "lu", input_size=50)
         node = b.graph.node("lu")
         selector = HostSelector(repo)
-        oracle = HostSelector(repo, incremental=False)
+        oracle = FullWalkHostSelector(repo)
         first = selector.select_ranked(node, max_alternatives=2)
         # bury the current winner under load: it must drop out
         for _ in range(5):

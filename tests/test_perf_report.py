@@ -86,3 +86,20 @@ def test_committed_baseline_is_well_formed() -> None:
     assert doc.get("benchmarks"), "baseline has no benchmarks"
     for name, bench in doc["benchmarks"].items():
         assert bench["ops_per_s"] > 0, name
+
+
+def test_fast_path_bench_pairs_run_at_scale_one() -> None:
+    """The pairs ``check_fast_path_speedups`` gates, run once each: the
+    full-walk oracle and the loop of sends are imported from outside
+    ``src/``, so a broken import or fixture shows here, not only in the
+    perf job."""
+    from tools import perf_report
+    try:
+        # 25 rounds at scale 1, each placing every task of the DAG
+        tasks = len(perf_report._resched_fixture("full")[1])
+        assert perf_report.bench_scheduler_full_resched(1) == 25 * tasks
+        assert perf_report.bench_scheduler_incremental(1) == 25 * tasks
+    finally:
+        perf_report._RESCHED_CACHE.clear()
+    assert perf_report.bench_event_fanout_unbatched(1) == 2 * 1000
+    assert perf_report.bench_event_batch_fanout(1) == 2 * 1000

@@ -1,17 +1,36 @@
 """Monitor-update coalescing: a transport optimisation, never a change.
 
-The Group Manager may batch the monitor samples arriving in one tick
-into a single ``{"samples": [...]}`` repository-update message
-(``coalesce_updates``).  The contract mirrors the network-batching one:
-the Site Manager applies coalesced samples per-sample in arrival order,
-so every observable repository and WAL byte is identical with the knob
-on or off — only the message count changes.
+The Group Manager batches the monitor samples arriving in one tick
+into a single ``{"samples": [...]}`` repository-update message.  The
+contract mirrors the network-batching one: the Site Manager applies
+coalesced samples per-sample in arrival order, so every observable
+repository and WAL byte is identical to the per-sample reference below
+(one message per forwarded sample, sent as it arrives) — only the
+message count changes.
 """
 
 from __future__ import annotations
 
+from unittest import mock
+
+from repro.net import WORKLOAD_UPDATE
 from repro.obs import Observability
+from repro.runtime.control.group_manager import GroupManager
 from repro.workloads import nynet_testbed
+
+
+class PerSampleGroupManager(GroupManager):
+    """Reference Group Manager: every forwarded sample ships at once as
+    its own one-sample update (64 bytes), with no same-tick flush."""
+
+    def _on_load_report(self, msg) -> None:
+        self.stats.reports_received += 1
+        sample = msg.payload
+        if self.filter.observe(sample["host"], sample["cpu_load"]):
+            self.stats.updates_forwarded += 1
+            self.network.send(self.address, self.site_manager_addr,
+                              WORKLOAD_UPDATE, payload={"samples": [sample]},
+                              size_bytes=64)
 
 
 def dynamic_probe(vdce) -> dict:
@@ -44,9 +63,10 @@ def wal_probe(vdce) -> dict:
 def run_monitored(coalesce: bool, *, failover: bool = False,
                   obs: Observability | None = None,
                   until: float = 30.0):
-    vdce = nynet_testbed(seed=5, trace=False, obs=obs,
-                         coalesce_updates=coalesce)
-    vdce.start()
+    vdce = nynet_testbed(seed=5, trace=False, obs=obs)
+    with mock.patch("repro.core.vdce.GroupManager",
+                    GroupManager if coalesce else PerSampleGroupManager):
+        vdce.start()
     if failover:
         vdce.enable_failover("syracuse", ["h2", "h3"])
     vdce.run(until=until)
@@ -78,9 +98,3 @@ class TestCoalescingIdentity:
         run_monitored(True, obs=obs)
         counter = obs.metrics.counter("gm_update_batches_total")
         assert counter.total() > 0
-
-    def test_off_never_batches(self):
-        obs = Observability()
-        run_monitored(False, obs=obs)
-        counter = obs.metrics.counter("gm_update_batches_total")
-        assert counter.total() == 0

@@ -38,6 +38,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
+# for the full-walk oracle in tests/host_selection_oracle.py
+sys.path.insert(0, str(REPO_ROOT))
 
 from repro.net import Network, Topology  # noqa: E402
 from repro.obs import Observability  # noqa: E402
@@ -54,6 +56,7 @@ from repro.workloads import (  # noqa: E402
     quiet_testbed,
     random_layered_graph,
 )
+from tests.host_selection_oracle import FullWalkHostSelector  # noqa: E402
 
 #: Default regression tolerance: fail when throughput drops below
 #: ``baseline * (1 - TOLERANCE)``.  Generous because CI hardware is
@@ -186,7 +189,7 @@ def bench_scheduler_full_resched(scale: int) -> int:
     per-round validation/levels/report bookkeeping — the pre-incremental
     cost model (one monitoring update lands between rounds)."""
     vdce, graph, state = _resched_fixture("full")
-    selectors = {site: HostSelector(repo, incremental=False)
+    selectors = {site: FullWalkHostSelector(repo)
                  for site, repo in vdce.repositories.items()}
     rounds = 25 * scale
     for _ in range(rounds):
@@ -223,12 +226,13 @@ def bench_scheduler_incremental(scale: int) -> int:
 
 
 def _bench_fanout(scale: int, batching: bool) -> int:
-    """1000-way same-tick fan-outs through Network.send_batch."""
+    """1000-way same-tick fan-outs: one Network.send_batch per round,
+    or (unbatched) the loop of Network.send it replaces."""
     n_dsts = 1000
     env = Environment()
     topo = Topology()
     topo.add_site("s1")
-    net = Network(env, topo, batching=batching)
+    net = Network(env, topo)
     src = "s1/h0"
     net.register(src)
     dsts = [f"s1/h{i + 1}/svc" for i in range(n_dsts)]
@@ -236,7 +240,11 @@ def _bench_fanout(scale: int, batching: bool) -> int:
         net.register(dst)
     rounds = 2 * scale
     for r in range(rounds):
-        net.send_batch(src, dsts, "fanout", payload=r, size_bytes=64.0)
+        if batching:
+            net.send_batch(src, dsts, "fanout", payload=r, size_bytes=64.0)
+        else:
+            for dst in dsts:
+                net.send(src, dst, "fanout", payload=r, size_bytes=64.0)
         env.run()
     assert net.stats.messages == rounds * n_dsts
     assert net.stats.dropped == 0
@@ -244,7 +252,7 @@ def _bench_fanout(scale: int, batching: bool) -> int:
 
 
 def bench_event_fanout_unbatched(scale: int) -> int:
-    """The degraded path: one delivery process per message."""
+    """The loop of plain sends: one delivery process per message."""
     return _bench_fanout(scale, batching=False)
 
 
