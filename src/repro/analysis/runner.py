@@ -92,7 +92,6 @@ def _drive(vdce: Any, process: Any, run: Any, deadline: float) -> str:
             vdce.env.run(until=vdce.now + 5.0)
         if process.triggered:
             if not process.ok:
-                run.status = "rejected"
                 raise process.exception
         else:
             run.status = "timeout"

@@ -381,7 +381,6 @@ def cmd_obs(args) -> int:
         if not process.triggered:
             run.status = "timeout"
         elif not process.ok:
-            run.status = "rejected"
             raise process.exception
     statuses = [run.status for _, run in processes]
     print(f"application : {graph.name} ({len(graph)} tasks) x {args.apps}")

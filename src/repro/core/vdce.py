@@ -67,10 +67,8 @@ class VDCE:
                  trace: bool = True,
                  monitor_period_s: float = 2.0,
                  echo_period_s: float = 5.0,
-                 echo_timeout_s: float = 1.0,
                  filter_policy: str = "ci",
                  reschedule_policy: ReschedulePolicy | None = None,
-                 weight_jitter: float = 0.10,
                  obs: Observability | None = None) -> None:
         self.world = VDCEnvironment(seed=seed, trace=trace)
         #: observability handle threaded through every daemon; inert
@@ -80,10 +78,9 @@ class VDCE:
             obs.attach_tracer(self.world.tracer)
         self.world.network.set_observability(self.obs)
         self.registry = registry or standard_registry()
-        self.model = ExecutionModel(jitter=weight_jitter, seed=seed)
+        self.model = ExecutionModel(seed=seed)
         self.monitor_period_s = monitor_period_s
         self.echo_period_s = echo_period_s
-        self.echo_timeout_s = echo_timeout_s
         self.filter_policy = filter_policy
         self.reschedule_policy = reschedule_policy or ReschedulePolicy()
         self.failures = FailureInjector(self.world.env, self.world.tracer)
@@ -185,7 +182,6 @@ class VDCE:
             self.repositories[site_name] = repo
             sm = self._bring_up_site(site_name, site, repo)
             self._start_site_daemons(site_name, site, sm)
-        self._rewire_inboxes()
         self._started = True
 
     def _build_site_repository(self, site_name: str, site,
@@ -222,22 +218,9 @@ class VDCE:
                          self.topology, tracer=self.tracer,
                          obs=self.obs)
         sm.on_reschedule_request = self._handle_reschedule_request
+        sm.on_host_down = self._handle_host_down
         self.site_managers[site_name] = sm
-        # host-down hook: reroute lost tasks of active executions
-        original = sm._on_host_down
-
-        def wrapped(msg, _original=original):
-            _original(msg)
-            self._handle_host_down(msg.payload["host"])
-
-        sm._on_host_down = wrapped  # type: ignore[method-assign]
         return sm
-
-    def _rewire_inboxes(self) -> None:
-        """Rebuild site-manager dispatch tables after hook installation."""
-        # _inbox_loop reads handlers at dispatch time via dict lookup on
-        # bound methods, so replacing the bound attribute is sufficient;
-        # nothing to do — kept for interface clarity.
 
     def _start_site_daemons(self, site_name: str, site, sm: SiteManager
                             ) -> None:
@@ -248,7 +231,6 @@ class VDCE:
                 member_hosts=[f"{site_name}/{m}" for m in members],
                 site_manager_addr=sm.address,
                 echo_period_s=self.echo_period_s,
-                echo_timeout_s=self.echo_timeout_s,
                 change_filter=ChangeFilter(policy=self.filter_policy),
                 tracer=self.tracer, obs=self.obs)
             sm.register_group_manager(gm)
@@ -318,42 +300,48 @@ class VDCE:
                 help="applications submitted").inc(site=local_site)
 
         def proc(env):
-            sm = self.site_managers[local_site]
-            round_span = None
-            if obs.enabled:
-                round_span = obs.spans.begin(
-                    f"schedule:{graph.name}", "schedule-round", sm.address,
-                    env.now, parent_id=app_span)
-            table, report = yield from sm.schedule_application(
-                graph, k_remote_sites=k_remote_sites,
-                queue_aware=queue_aware)
-            if obs.enabled and round_span is not None:
-                obs.spans.end(round_span, env.now,
-                              sites=len(report.consulted_sites),
-                              tasks=len(table))
-            run.table, run.report = table, report
-            run.scheduled_at = env.now
-            if qos is not None:
-                require_admission(graph, table, self.topology, qos)
-            state = sm.distribute_allocation(
-                table, execution_id, graph,
-                max_host_load=(qos.max_host_load if qos is not None
-                               else None))
-            completions = yield state.finished
-            run.started_at = (state.start_signal_time
-                              if state.start_signal_time is not None
-                              else run.scheduled_at)
-            run.completions = dict(completions)
-            run.finished_at = env.now
-            run.status = "completed"
-            if obs.enabled and app_span is not None:
-                obs.spans.end(app_span, env.now,
-                              tasks=len(run.completions))
-                obs.metrics.counter(
-                    "vdce_apps_completed_total",
-                    help="applications run to completion").inc(
-                        site=local_site)
-            return run
+            try:
+                sm = self.site_managers[local_site]
+                round_span = None
+                if obs.enabled:
+                    round_span = obs.spans.begin(
+                        f"schedule:{graph.name}", "schedule-round", sm.address,
+                        env.now, parent_id=app_span)
+                table, report = yield from sm.schedule_application(
+                    graph, k_remote_sites=k_remote_sites,
+                    queue_aware=queue_aware)
+                if obs.enabled and round_span is not None:
+                    obs.spans.end(round_span, env.now,
+                                  sites=len(report.consulted_sites),
+                                  tasks=len(table))
+                run.table, run.report = table, report
+                run.scheduled_at = env.now
+                if qos is not None:
+                    require_admission(graph, table, self.topology, qos)
+                state = sm.distribute_allocation(
+                    table, execution_id, graph,
+                    max_host_load=(qos.max_host_load if qos is not None
+                                   else None))
+                completions = yield state.finished
+                run.started_at = (state.start_signal_time
+                                  if state.start_signal_time is not None
+                                  else run.scheduled_at)
+                run.completions = dict(completions)
+                run.finished_at = env.now
+                run.status = "completed"
+                if obs.enabled and app_span is not None:
+                    obs.spans.end(app_span, env.now,
+                                  tasks=len(run.completions))
+                    obs.metrics.counter(
+                        "vdce_apps_completed_total",
+                        help="applications run to completion").inc(
+                            site=local_site)
+                return run
+            except Exception:
+                run.status = "rejected"
+                raise
+            finally:
+                del self._active_runs[execution_id]
 
         process = self.env.process(proc(self.env),
                                    name=f"submit:{graph.name}")
@@ -363,7 +351,6 @@ class VDCE:
                         k_remote_sites: int = 1,
                         qos: QoSRequirement | None = None,
                         max_sim_time_s: float = 3600.0,
-                        step_s: float = 5.0,
                         queue_aware: bool = False) -> ApplicationRun:
         """Submit and drive the simulation until completion (or timeout).
 
@@ -376,10 +363,9 @@ class VDCE:
                                    queue_aware=queue_aware)
         deadline = self.now + max_sim_time_s
         while not process.triggered and self.now < deadline:
-            self.env.run(until=min(self.now + step_s, deadline))
+            self.env.run(until=min(self.now + 5.0, deadline))
         if process.triggered:
             if not process.ok:
-                run.status = "rejected"
                 raise process.exception  # type: ignore[misc]
         else:
             run.status = "timeout"
@@ -403,7 +389,7 @@ class VDCE:
         # own excluded sites plus whatever the coordinating site's
         # membership view currently quarantines
         exclude_sites = set(payload.get("exclude_sites") or ())
-        if self.federation is not None and run.report is not None:
+        if self.federation is not None:
             exclude_sites.update(
                 self.federation.quarantined(run.report.local_site))
         forced = attempt > self.reschedule_policy.max_attempts
@@ -418,49 +404,86 @@ class VDCE:
         if new_entry is not current:
             run.table.reassign(new_entry)
         run.reschedules += 1
-        local_site = run.report.local_site if run.report else \
-            sorted(self.site_managers)[0]
-        sm = self.site_managers[local_site]
-        fresh = SiteManager._entry_payload(new_entry, run.graph, run.table)
-        fresh["forward_inputs"] = payload.get("inputs") or {}
-        fresh["attempt"] = attempt
-        fresh["forced"] = forced
-        self.network.send(
-            sm.address, f"{new_entry.host}/appctl", EXECUTION_REQUEST,
-            payload={"application": run.graph.name,
-                     "execution_id": execution_id,
-                     "entries": [fresh], "coordinator": sm.address,
-                     "immediate": True},
-            size_bytes=256)
-        self.tracer.record(self.now, "vdce:rescheduled", sm.address,
+        coordinator = self._push(run, new_entry,
+                                 forward_inputs=payload.get("inputs") or {},
+                                 attempt=attempt, forced=forced)
+        self.tracer.record(self.now, "vdce:rescheduled", coordinator,
                            node=node_id, to=new_entry.host,
                            attempt=attempt)
         if self.obs.enabled:
             self.obs.metrics.counter(
                 "vdce_reschedules_total",
                 help="facade-coordinated task reschedules").inc(
-                    site=local_site)
+                    site=run.report.local_site)
+
+    def _push(self, run: ApplicationRun, entry, **extra) -> str:
+        """Send one task straight to its host's Application Controller.
+
+        The immediate execution request of every re-homing path, sent
+        from (and naming as coordinator) the run's local Site Manager,
+        whose address is returned.  *extra* is added to the entry.
+        """
+        coordinator = self.site_managers[run.report.local_site].address
+        fresh = SiteManager._entry_payload(entry, run.graph, run.table)
+        fresh.update(extra)
+        self.network.send(
+            coordinator, f"{entry.host}/appctl", EXECUTION_REQUEST,
+            payload={"application": run.graph.name,
+                     "execution_id": run.execution_id,
+                     "entries": [fresh], "coordinator": coordinator,
+                     "immediate": True},
+            size_bytes=256)
+        return coordinator
+
+    def _unfinished(self, coordinator: str | None = None):
+        """Yield ``(run, entry)`` for every unfinished task of a running
+        application, by execution id then node id.
+
+        With *coordinator* set, only runs whose local site it is.  Each
+        entry is read from the table when reached, so a reassignment
+        made for an earlier pair is seen by later ones.
+        """
+        for execution_id in sorted(self._active_runs):
+            run = self._active_runs[execution_id]
+            if run.status != "running" or run.table is None:
+                continue
+            if coordinator is not None and \
+                    run.report.local_site != coordinator:
+                continue
+            for node_id in sorted(run.table.entries):
+                if node_id not in run.completions:
+                    yield run, run.table.get(node_id)
+
+    def _reschedule_lost(self, run: ApplicationRun, entry, host: str,
+                         reason: str, **extra) -> None:
+        """Reschedule a task whose inputs were lost with *host*.
+
+        The task re-runs in simulation mode: its inputs arrive as None
+        (values regenerate only for entry tasks, whose inputs are
+        parameters).
+        """
+        node = run.graph.node(entry.node_id)
+        self._handle_reschedule_request({
+            "execution_id": run.execution_id,
+            "entry": {"node_id": entry.node_id,
+                      "task_name": entry.task_name},
+            "host": host,
+            "inputs": {port: None for port in node.input_ports},
+            "reason": reason, **extra})
 
     def _handle_host_down(self, host: str) -> None:
-        """Reroute unfinished tasks assigned to a failed host."""
+        """Reroute unfinished tasks assigned to a failed host.
+
+        Runs go in submission order and each run's tasks in table
+        order; the walk order decides which reroute claims a host
+        first, so it is part of every seeded artefact.
+        """
         for run in self._active_runs.values():
             if run.table is None or run.status != "running":
                 continue
             for entry in run.table.portion_for_host(host):
-                if entry.node_id in run.completions:
-                    continue
-                node = run.graph.node(entry.node_id)
-                # Inputs held on the dead machine are lost; the task is
-                # re-run in simulation mode (values regenerate only for
-                # entry tasks, whose inputs are parameters).
-                inputs = {port: None for port in node.input_ports}
-                self._handle_reschedule_request({
-                    "execution_id": run.execution_id,
-                    "entry": {"node_id": entry.node_id,
-                              "task_name": entry.task_name},
-                    "host": host, "inputs": inputs,
-                    "reason": "host-down",
-                })
+                if entry.node_id not in run.completions:
+                    self._reschedule_lost(run, entry, host, "host-down")
 
     # -- self-healing control plane (server failover) -----------------------------
     def enable_failover(self, site: str, standby_hosts: list[str],
@@ -487,7 +510,6 @@ class VDCE:
                 self.env, self.network, self.topology,
                 tracer=self.tracer, obs=self.obs)
             self.recovery.on_promoted = self._on_server_promoted
-            self.recovery.on_host_down = self._handle_host_down
         self.recovery.enable_site(
             self.world.site(site), self.site_managers[site],
             standby_hosts, self.monitors,
@@ -508,28 +530,8 @@ class VDCE:
         node), so the overlap is harmless.
         """
         self.site_managers[site_name] = new_sm
-        for execution_id in sorted(self._active_runs):
-            run = self._active_runs[execution_id]
-            if run.status != "running" or run.table is None:
-                continue
-            if run.report is not None and \
-                    run.report.local_site != site_name:
-                continue
-            for node_id in sorted(run.table.entries):
-                if node_id in run.completions:
-                    continue
-                entry = run.table.get(node_id)
-                fresh = SiteManager._entry_payload(entry, run.graph,
-                                                   run.table)
-                self.network.send(
-                    new_sm.address, f"{entry.host}/appctl",
-                    EXECUTION_REQUEST,
-                    payload={"application": run.graph.name,
-                             "execution_id": execution_id,
-                             "entries": [fresh],
-                             "coordinator": new_sm.address,
-                             "immediate": True},
-                    size_bytes=256)
+        for run, entry in self._unfinished(site_name):
+            self._push(run, entry)
         self.tracer.record(self.now, "vdce:failover", new_sm.address,
                            site=site_name)
 
@@ -606,32 +608,11 @@ class VDCE:
         work finished behind the partition is recovered rather than
         re-run and nothing executes twice.
         """
-        for execution_id in sorted(self._active_runs):
-            run = self._active_runs[execution_id]
-            if run.status != "running" or run.table is None:
-                continue
-            if run.report is None or run.report.local_site != observer:
-                continue
-            sm = self.site_managers[observer]
-            for node_id in sorted(run.table.entries):
-                if node_id in run.completions:
-                    continue
-                entry = run.table.get(node_id)
-                if entry.site != peer:
-                    continue
-                fresh = SiteManager._entry_payload(entry, run.graph,
-                                                   run.table)
-                node = run.graph.node(node_id)
-                fresh["forward_inputs"] = {
-                    port: None for port in node.input_ports}
-                self.network.send(
-                    sm.address, f"{entry.host}/appctl", EXECUTION_REQUEST,
-                    payload={"application": run.graph.name,
-                             "execution_id": execution_id,
-                             "entries": [fresh],
-                             "coordinator": sm.address,
-                             "immediate": True},
-                    size_bytes=256)
+        for run, entry in self._unfinished(observer):
+            if entry.site == peer:
+                node = run.graph.node(entry.node_id)
+                self._push(run, entry, forward_inputs={
+                    port: None for port in node.input_ports})
         self.tracer.record(self.now, "vdce:site-rejoined",
                            f"{observer}/server", peer=peer)
 
@@ -645,34 +626,12 @@ class VDCE:
         its own partition, and the idempotency keys absorb the overlap
         at rejoin.
         """
-        for execution_id in sorted(self._active_runs):
-            run = self._active_runs[execution_id]
-            if run.status != "running" or run.table is None:
-                continue
-            local_site = (run.report.local_site
-                          if run.report is not None else None)
-            if coordinator is not None and local_site != coordinator:
-                continue
-            if local_site == peer:
-                continue
-            for node_id in sorted(run.table.entries):
-                if node_id in run.completions:
-                    continue
-                entry = run.table.get(node_id)
-                if entry.site != peer:
-                    continue
-                node = run.graph.node(node_id)
-                # inputs behind the partition are unreachable; the task
-                # re-runs in simulation mode (cf. _handle_host_down)
-                inputs = {port: None for port in node.input_ports}
-                self._handle_reschedule_request({
-                    "execution_id": execution_id,
-                    "entry": {"node_id": node_id,
-                              "task_name": entry.task_name},
-                    "host": entry.host, "inputs": inputs,
-                    "exclude_sites": [peer],
-                    "reason": "site-unreachable",
-                })
+        for run, entry in self._unfinished(coordinator):
+            if entry.site == peer and run.report.local_site != peer:
+                # inputs behind the partition are unreachable
+                self._reschedule_lost(run, entry, entry.host,
+                                      "site-unreachable",
+                                      exclude_sites=[peer])
         if self.obs.enabled:
             self.obs.metrics.counter(
                 "vdce_degraded_requeues_total",
@@ -745,13 +704,13 @@ class VDCE:
                     site=name, op="join")
         return site
 
-    def site_leave(self, name: str, poll_period_s: float = 1.0,
-                   drain_timeout_s: float = 300.0):
+    def site_leave(self, name: str, drain_timeout_s: float = 300.0):
         """Cleanly drain and detach a site; returns the drain process.
 
         The departure is announced first, so members stop scheduling
-        onto the leaver, then the process polls until no active run
-        involves the site (as coordinator or executor).  On drain
+        onto the leaver, then the process polls once a simulated second
+        until no active run involves the site (as coordinator or
+        executor).  On drain
         timeout its remaining tasks are force-re-queued elsewhere.
         Finally every daemon is stopped and the site removed from the
         world and topology.  Drive the returned process with
@@ -761,21 +720,19 @@ class VDCE:
             raise ConfigurationError(
                 "enable_membership() before site_leave")
         daemon = self.federation.daemon(name)
-        if poll_period_s <= 0:
-            raise ConfigurationError("poll_period_s must be positive")
 
         def proc():
             daemon.announce_leave()
             deadline = self.now + drain_timeout_s
             while self._site_involved(name) and self.now < deadline:
-                yield self.env.timeout(poll_period_s)
+                yield self.env.timeout(1.0)
             if self._site_involved(name):
                 # drain timed out: force the stragglers off the leaver
                 for other in sorted(self.site_managers):
                     if other != name:
                         self.site_managers[other].waive_site_acks(name)
                 self._requeue_site_tasks(name)
-                yield self.env.timeout(poll_period_s)
+                yield self.env.timeout(1.0)
             daemon.stop()
             self.federation.remove(name)
             self._stop_site_daemons(name)
@@ -795,19 +752,11 @@ class VDCE:
 
     def _site_involved(self, name: str) -> bool:
         """Does any active run still coordinate at or execute on *name*?"""
-        for run in self._active_runs.values():
-            if run.status != "running":
-                continue
-            if run.report is not None and run.report.local_site == name:
-                return True
-            if run.table is None:
-                continue
-            for node_id in run.table.entries:
-                if node_id in run.completions:
-                    continue
-                if run.table.get(node_id).site == name:
-                    return True
-        return False
+        if any(run.status == "running" and run.report is not None
+               and run.report.local_site == name
+               for run in self._active_runs.values()):
+            return True
+        return any(entry.site == name for _, entry in self._unfinished())
 
     def _stop_site_daemons(self, site_name: str) -> None:
         """Stop and drop every daemon of one site (site_leave teardown)."""

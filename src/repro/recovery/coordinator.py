@@ -84,9 +84,6 @@ class RecoveryCoordinator:
         #: reconcile in-flight runs
         self.on_promoted: Callable[[str, SiteManager, SiteManager],
                                    None] | None = None
-        #: facade hook installed into the rebuilt Site Manager's
-        #: host-down path (mirrors the wrap ``VDCE.start`` applies)
-        self.on_host_down: Callable[[str], None] | None = None
 
     # -- enabling ----------------------------------------------------------
     def enable_site(self, site: Site, sm: SiteManager,
@@ -180,20 +177,11 @@ class RecoveryCoordinator:
         # stable role address means nothing else re-learns an address
         new_sm = SiteManager(
             self.env, self.network, site, replica.repository,
-            self.topology, selection_timeout_s=old_sm.selection_timeout_s,
-            tracer=self.tracer, obs=self.obs)
+            self.topology, tracer=self.tracer, obs=self.obs)
         for gm in old_sm.group_managers.values():
             new_sm.register_group_manager(gm)
         new_sm.on_reschedule_request = old_sm.on_reschedule_request
-        if self.on_host_down is not None:
-            original = new_sm._on_host_down
-            hook = self.on_host_down
-
-            def wrapped(msg, _original=original, _hook=hook):
-                _original(msg)
-                _hook(msg.payload["host"])
-
-            new_sm._on_host_down = wrapped  # type: ignore[method-assign]
+        new_sm.on_host_down = old_sm.on_host_down
         # 4. re-arm the survivors: state transfer, new shipper + beat
         survivors = [r for r in state.replicas
                      if r is not replica and r.active]

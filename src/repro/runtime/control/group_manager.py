@@ -54,19 +54,20 @@ class GroupManager:
     """Monitoring relay + failure detector for one host group."""
 
     SERVICE = "groupmgr"
+    #: how long an echo round waits for replies before counting misses
+    ECHO_TIMEOUT_S = 1.0
 
     def __init__(self, env: Environment, network: Network,
                  site: str, group: str, leader_host: str,
                  member_hosts: list[str],
                  site_manager_addr: str,
                  echo_period_s: float = 5.0,
-                 echo_timeout_s: float = 1.0,
                  miss_limit: int = 2,
                  change_filter: ChangeFilter | None = None,
                  tracer: Tracer | None = None,
                  obs: Observability | None = None) -> None:
-        if echo_period_s <= 0 or echo_timeout_s <= 0:
-            raise ConfigurationError("echo period/timeout must be positive")
+        if echo_period_s <= 0:
+            raise ConfigurationError("echo period must be positive")
         if miss_limit < 1:
             raise ConfigurationError("miss_limit must be >= 1")
         self.env = env
@@ -77,17 +78,11 @@ class GroupManager:
         self.member_hosts = list(member_hosts)
         self.site_manager_addr = site_manager_addr
         self.echo_period_s = echo_period_s
-        self.echo_timeout_s = echo_timeout_s
         self.miss_limit = miss_limit
         self.filter = change_filter or ChangeFilter()
         self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.stats = GroupManagerStats()
-        #: same-tick forwarded monitor samples, shipped as one batched
-        #: WORKLOAD_UPDATE (the Site Manager applies and WALs per sample
-        #: in arrival order)
-        self._pending_updates: list[dict] = []
-        self._flush_scheduled = False
         self.address = f"{site}/{leader_host}/{self.SERVICE}"
         self.mailbox = network.register(self.address)
         self._echo_seq = 0
@@ -130,35 +125,14 @@ class GroupManager:
                     outcome="forwarded" if forwarded else "suppressed")
         if forwarded:
             self.stats.updates_forwarded += 1
-            self._pending_updates.append(sample)
-            if not self._flush_scheduled:
-                self._flush_scheduled = True
-                # the group's monitors share one period, so their
-                # reports land on the same tick; one flush entry
-                # coalesces the whole round.  Safe same-tick use:
-                # NORMAL-priority callback, append order preserved.
-                # reprolint: disable=DET003 -- same-tick coalescing flush, arrival-ordered
-                self.env.call_later(0.0, self._flush_updates)
             self.tracer.record(self.env.now, "gm:forward", self.address,
                                host=host, load=sample["cpu_load"])
+            self.network.send(self.address, self.site_manager_addr,
+                              WORKLOAD_UPDATE, payload=sample,
+                              size_bytes=64.0)
         else:
             self.tracer.record(self.env.now, "gm:suppress", self.address,
                                host=host, load=sample["cpu_load"])
-
-    def _flush_updates(self, _arg=None) -> None:
-        """Ship the tick's forwarded samples as one batched update."""
-        self._flush_scheduled = False
-        samples, self._pending_updates = self._pending_updates, []
-        if not samples:
-            return
-        self.network.send(self.address, self.site_manager_addr,
-                          WORKLOAD_UPDATE, payload={"samples": samples},
-                          size_bytes=64.0 * len(samples))
-        if self.obs.enabled:
-            self.obs.metrics.counter(
-                "gm_update_batches_total",
-                help="coalesced workload-update batches shipped").inc(
-                    group=self.group)
 
     # -- echo / failure detection -----------------------------------------
     def _echo_loop(self):
@@ -180,7 +154,7 @@ class GroupManager:
                 self.address,
                 [f"{host}/monitor" for host in self.member_hosts],
                 ECHO_REQUEST, payload=self._echo_seq, size_bytes=32)
-            yield self.env.timeout(self.echo_timeout_s)
+            yield self.env.timeout(self.ECHO_TIMEOUT_S)
             self._evaluate_round(sent_at)
 
     def _on_echo_reply(self, msg) -> None:

@@ -87,10 +87,11 @@ class SiteManager:
     """One per VDCE server machine."""
 
     SERVICE = "sitemgr"
+    #: how long a scheduling round waits for remote selection replies
+    SELECTION_TIMEOUT_S = 5.0
 
     def __init__(self, env: Environment, network: Network, site: Site,
                  repository: SiteRepository, topology: Topology,
-                 selection_timeout_s: float = 5.0,
                  tracer: Tracer | None = None,
                  obs: Observability | None = None) -> None:
         self.env = env
@@ -98,7 +99,6 @@ class SiteManager:
         self.site = site
         self.repository = repository
         self.topology = topology
-        self.selection_timeout_s = selection_timeout_s
         self.tracer = tracer or Tracer(enabled=False)
         self.obs = obs if obs is not None else OBS_OFF
         self.address = f"{site.name}/server/{self.SERVICE}"
@@ -111,6 +111,9 @@ class SiteManager:
         #: hook invoked with the reschedule-request payload (installed by
         #: the VDCE facade, which owns cross-module rescheduling)
         self.on_reschedule_request: Callable[[dict], None] | None = None
+        #: hook invoked with the failed host's address after a host-down
+        #: report is handled (the facade reroutes the host's tasks)
+        self.on_host_down: Callable[[str], None] | None = None
         #: degraded-mode site predicate (installed by the facade when
         #: federation membership is enabled): quarantined sites are
         #: excluded from every scheduling round this manager runs
@@ -130,19 +133,20 @@ class SiteManager:
 
     # -- inbox ------------------------------------------------------------
     def _inbox_loop(self):
+        handlers = {
+            WORKLOAD_UPDATE: self._on_workload_update,
+            HOST_DOWN: self._on_host_down,
+            HOST_UP: self._on_host_up,
+            AFG_MULTICAST: self._on_afg_multicast,
+            HOST_SELECTION_REPLY: self._on_selection_reply,
+            CHANNEL_ACK: self._on_channel_ack,
+            RESCHEDULE_REQUEST: self._on_reschedule_request,
+            TASK_COMPLETED: self._on_task_completed,
+            ALLOCATION_PUSH: self._on_allocation_push,
+        }
         while True:
             msg = yield self.mailbox.get()
-            handler = {
-                WORKLOAD_UPDATE: self._on_workload_update,
-                HOST_DOWN: self._on_host_down,
-                HOST_UP: self._on_host_up,
-                AFG_MULTICAST: self._on_afg_multicast,
-                HOST_SELECTION_REPLY: self._on_selection_reply,
-                CHANNEL_ACK: self._on_channel_ack,
-                RESCHEDULE_REQUEST: self._on_reschedule_request,
-                TASK_COMPLETED: self._on_task_completed,
-                ALLOCATION_PUSH: self._on_allocation_push,
-            }.get(msg.kind)
+            handler = handlers.get(msg.kind)
             if handler is not None:
                 handler(msg)
 
@@ -160,22 +164,20 @@ class SiteManager:
 
     # -- repository updates -----------------------------------------------
     def _on_workload_update(self, msg) -> None:
-        # The Group Manager ships a round's samples as {"samples": [...]};
-        # each applies (and WALs) on its own, in arrival order.
-        for sample in msg.payload["samples"]:
-            self._log("workload-update", dict(sample))
-            self.repository.resource_performance.update_dynamic(
-                sample["host"], cpu_load=sample["cpu_load"],
-                available_memory_mb=sample["available_memory_mb"],
-                time=sample["time"])
-            self.updates_applied += 1
-            self.tracer.record(self.env.now, "sm:db-update", self.address,
-                               host=sample["host"], load=sample["cpu_load"])
-            if self.obs.enabled:
-                self.obs.metrics.counter(
-                    "sm_db_updates_total",
-                    help="repository workload updates applied").inc(
-                        site=self.site.name)
+        sample = msg.payload
+        self._log("workload-update", dict(sample))
+        self.repository.resource_performance.update_dynamic(
+            sample["host"], cpu_load=sample["cpu_load"],
+            available_memory_mb=sample["available_memory_mb"],
+            time=sample["time"])
+        self.updates_applied += 1
+        self.tracer.record(self.env.now, "sm:db-update", self.address,
+                           host=sample["host"], load=sample["cpu_load"])
+        if self.obs.enabled:
+            self.obs.metrics.counter(
+                "sm_db_updates_total",
+                help="repository workload updates applied").inc(
+                    site=self.site.name)
 
     def _on_host_down(self, msg) -> None:
         host = msg.payload["host"]
@@ -203,6 +205,8 @@ class SiteManager:
             self.tracer.record(self.env.now, "sm:ack-waived", self.address,
                                execution=state.execution_id, host=host)
             self._maybe_start(state)
+        if self.on_host_down is not None:
+            self.on_host_down(host)
 
     def waive_site_acks(self, site_name: str) -> None:
         """Waive pending channel acks from every host at an unreachable site.
@@ -282,7 +286,7 @@ class SiteManager:
         """Process: multicast AFG, gather selections, run the site walk.
 
         Yields simulation events; returns ``(table, report)``.  Remote
-        sites that do not answer within ``selection_timeout_s`` are
+        sites that do not answer within ``SELECTION_TIMEOUT_S`` are
         dropped from consideration (wide-area robustness).
         """
         self._request_seq += 1
@@ -308,7 +312,7 @@ class SiteManager:
                 AFG_MULTICAST,
                 payload={"request_id": request_id, "graph": graph},
                 size_bytes=256 + 128 * len(graph))
-            timeout = self.env.timeout(self.selection_timeout_s)
+            timeout = self.env.timeout(self.SELECTION_TIMEOUT_S)
             yield self.env.any_of([pending.done, timeout])
         del self._pending[request_id]
         table, report = scheduler.schedule(graph, dict(pending.results))

@@ -87,8 +87,7 @@ class WorkloadPlayer:
         for _ in range(count):
             yield float(self.rng.exponential(self.mean_interarrival_s))
 
-    def play(self, count: int, drain_s: float = 3600.0,
-             step_s: float = 5.0) -> PlayerReport:
+    def play(self, count: int, drain_s: float = 3600.0) -> PlayerReport:
         """Submit *count* applications; run until all finish (or drain).
 
         Arrivals are open-loop: the next submission does not wait for the
@@ -109,7 +108,7 @@ class WorkloadPlayer:
         deadline = self.vdce.now + drain_s
         while self.vdce.now < deadline and \
                 not all(p.triggered for p, _ in processes):
-            self.vdce.run(until=min(self.vdce.now + step_s, deadline))
+            self.vdce.run(until=min(self.vdce.now + 5.0, deadline))
         obs = self.vdce.obs
         for process, run in processes:
             report.runs.append(run)

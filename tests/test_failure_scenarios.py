@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.scheduling.qos import QoSRequirement
 from repro.scheduling.rescheduling import ReschedulePolicy
 from repro.workloads import (
     linear_solver_graph,
@@ -104,6 +105,33 @@ class TestCascadingFailures:
         run = v.run_application(g, "syracuse", k_remote_sites=0,
                                 max_sim_time_s=3600)
         assert run.status == "completed"
+
+
+class TestRejectedApplication:
+    def test_host_down_never_runs_a_rejected_application(self):
+        """QoS admission rejects the application after scheduling, so
+        its table exists but nothing was distributed.  A later crash of
+        one of its hosts must not reschedule (and so run) any of its
+        tasks: only admitted tasks ever execute."""
+        v = quiet_testbed(seed=3)
+        v.start()
+        graph = linear_solver_graph(v.registry, n=60)
+        process, run = v.submit(graph, "syracuse",
+                                qos=QoSRequirement(deadline_s=1e-6))
+        assert drive(v, process)
+        assert not process.ok
+        assert run.status == "rejected"
+        assert run.table is not None
+        leaders = {f"{name}/{site.group_leader(group)}"
+                   for name, site in v.world.sites.items()
+                   for group in site.groups}
+        victim = sorted(set(run.table.hosts()) - leaders)[0]
+        v.failures.crash_at(v.world.host(victim), when=v.now + 1.0)
+        v.run(until=v.now + 60.0)
+        assert list(v.tracer.query(category="gm:host-down"))
+        assert not list(v.tracer.query(category="vdce:rescheduled"))
+        assert not [r for r in v.tracer.query(category="task-start")
+                    if r.detail["execution"] == run.execution_id]
 
 
 class TestWholeSiteOutage:
