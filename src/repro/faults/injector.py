@@ -32,7 +32,6 @@ from repro.faults.plan import (
     LinkDown,
     LinkFlap,
     LinkPartition,
-    MessageFaults,
     ServerCrash,
     SiteOutage,
 )

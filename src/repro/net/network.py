@@ -74,13 +74,6 @@ class TrafficStats:
     bytes_by_kind: dict[str, float] = field(
         default_factory=lambda: defaultdict(float))
 
-    def account(self, msg: Message) -> None:
-        """Tally one sent message into the counters."""
-        self.messages += 1
-        self.bytes += msg.size_bytes
-        self.by_kind[msg.kind] += 1
-        self.bytes_by_kind[msg.kind] += msg.size_bytes
-
 
 class Network:
     """Latency/bandwidth-modelled message delivery between endpoints."""
@@ -163,13 +156,38 @@ class Network:
              size_bytes: float = 256.0) -> Message:
         """Send a message; it arrives after the modelled delay.
 
+        The message (with any duplicates a fault hook adds) rides one
+        :meth:`~repro.simcore.engine.Environment.call_later` entry whose
+        callback puts it into the destination mailbox: no delivery
+        process.  Arrivals therefore run in send order with everything
+        else due at the same instant; a timer armed after the send, for
+        the same instant, fires after the message.
+
         Returns the sent :class:`Message`.  Raises :class:`ChannelError`
         when the destination endpoint was never registered (a programming
         error, unlike a *down* host which is a simulated fault and drops
         silently).
         """
-        env = self.env
-        now = env.now
+        msg, delay, entries = self._route(src, dst, kind, payload,
+                                          size_bytes)
+        if entries is not None:
+            self.env.call_later(delay, self._deliver_entries, entries)
+        return msg
+
+    def _route(self, src: str, dst: str, kind: str, payload,
+               size_bytes: float) -> tuple[Message, float, list | None]:
+        """Account and route one message: the work every send shares.
+
+        Builds the :class:`Message`; records it in the stats, tracer,
+        obs metrics and the race sanitizer's send hook; drops it when
+        either host is down, a partition separates the sites or the
+        fault hook says so; and prices its loopback/LAN/WAN delay, scaled
+        by the fault action, which may also add duplicates.  Returns
+        ``(msg, delay, entries)`` where *entries* holds one ``(mailbox,
+        message, dst_host)`` tuple per copy to deliver after *delay*, or
+        is ``None`` when the message was dropped.
+        """
+        now = self.env._now
         stats = self.stats
         tracer = self.tracer
         obs = self.obs
@@ -181,8 +199,6 @@ class Network:
         hb = hooks.HB
         if hb is not None:
             hb.on_send(dst_site)
-        # inlined TrafficStats.account: sends dominate, and the method
-        # call plus Message re-reads are measurable at message rate
         stats.messages += 1
         stats.bytes += size_bytes
         stats.by_kind[kind] += 1
@@ -198,7 +214,7 @@ class Network:
                 tracer.record(now, "net:dropped", src, dst=dst, kind=kind)
             if obs.enabled:
                 self._m_dropped.inc(reason="host-down")
-            return msg
+            return msg, 0.0, None
         if (src_host != dst_host
                 and not self.topology.reachable(src_site, dst_site)):
             # No surviving WAN route: the partition eats the message
@@ -211,7 +227,7 @@ class Network:
                               kind=kind)
             if obs.enabled:
                 self._m_dropped.inc(reason="partitioned")
-            return msg
+            return msg, 0.0, None
         action = self.fault_hook(msg) if self.fault_hook is not None else None
         if action is not None and action.drop:
             stats.dropped += 1
@@ -221,16 +237,16 @@ class Network:
                               kind=kind)
             if obs.enabled:
                 self._m_dropped.inc(reason="injected")
-            return msg
+            return msg, 0.0, None
         if src_host == dst_host:
             wire = 1e-5 + size_bytes / 1e9  # loopback
         else:
             wire = self.topology.transfer_time(src_site, dst_site, size_bytes)
         delay = wire + self.per_message_overhead_s
-        copies = 1
+        entries = [(box, msg, dst_host)]
         if action is not None:
             delay = delay * action.delay_multiplier + action.extra_delay_s
-            copies += action.duplicates
+            entries *= 1 + action.duplicates
             stats.injected_duplicates += action.duplicates
         if obs.enabled:
             self._m_delay.observe(delay, kind=kind)
@@ -243,29 +259,14 @@ class Network:
                     kind, "message-delivery", src, now, now + delay,
                     parent_id=obs.current_parent, dst=dst,
                     bytes=size_bytes)
-
-        def deliver(env, box=box, msg=msg, delay=delay):
-            yield env.timeout(delay)
-            # A host that went down mid-flight loses the message too.
-            if self.is_up(dst_host):
-                box.put(msg)
-            else:
-                self.stats.dropped += 1
-                if self.obs.enabled:
-                    self._m_dropped.inc(reason="mid-flight")
-
-        for _ in range(copies):
-            env.process(deliver(env), name=f"deliver:{kind}")
-        return msg
+        return msg, delay, entries
 
     def _deliver_entries(self, entries) -> None:
-        """Arrival callback for one batched delivery run.
+        """Arrival callback of one ``call_later`` delivery entry.
 
-        *entries* is the ``(mailbox, message, dst_host)`` list one
-        :meth:`send_batch` heap entry accumulated; per-message semantics
-        (the mid-flight down check and its drop accounting) match the
-        unbatched ``deliver`` process exactly, in list order — which is
-        send order, the same order per-message heap entries would pop.
+        *entries* is the ``(mailbox, message, dst_host)`` list the entry
+        carries, in send order.  A host that went down mid-flight loses
+        its message, which counts as dropped.
         """
         is_up = self.is_up
         for box, msg, dst_host in entries:
@@ -282,121 +283,48 @@ class Network:
                    sizes: Sequence[float] | None = None) -> list[Message]:
         """Send to several destinations in one coalesced operation.
 
-        Semantically a loop of :meth:`send` — same per-message stats,
-        tracer records, obs metrics/spans, and fault-hook consultations
-        (in *dsts* order, so injector RNG draws are unchanged) — but
-        consecutive messages sharing a modelled delay ride **one** heap
-        entry and one arrival callback instead of a delivery process
-        each.  Fan-outs inside a site (echo rounds, start signals to
-        co-located controllers, WAL shipping to LAN standbys) therefore
-        cost O(runs) kernel work rather than O(messages).
+        Each message is routed exactly as :meth:`send` routes it (same
+        stats, tracer records, obs metrics/spans and fault-hook
+        consultations, in *dsts* order, so injector RNG draws are
+        unchanged), but consecutive messages sharing a modelled delay
+        ride **one** ``call_later`` entry instead of one each.  Fan-outs
+        inside a site (echo rounds, start signals to co-located
+        controllers, WAL shipping to LAN standbys) therefore cost
+        O(runs) heap entries rather than O(messages).
 
         *payloads* / *sizes*, when given, are per-destination overrides
         aligned with *dsts* (the allocation push sends a different
-        portion to every host).  The plain loop it replaces is kept in
-        ``tests/network_oracle.py``; the byte-identity tests run whole
-        chaos scenarios both ways.
+        portion to every host).  ``tests/network_oracle.py`` keeps the
+        process-per-message ``send`` and the plain loop of it this
+        replaces; the byte-identity tests run whole chaos scenarios
+        both ways.
         """
         if payloads is not None and len(payloads) != len(dsts):
             raise ConfigurationError("payloads must align with dsts")
         if sizes is not None and len(sizes) != len(dsts):
             raise ConfigurationError("sizes must align with dsts")
-        env = self.env
-        now = env._now
-        stats = self.stats
-        tracer = self.tracer
-        obs = self.obs
-        fault_hook = self.fault_hook
-        is_up = self.is_up
-        mailboxes = self._mailboxes
-        transfer_time = self.topology.transfer_time
-        reachable = self.topology.reachable
-        overhead = self.per_message_overhead_s
-        src_site, src_host = split_address(src)
-        src_up = is_up(src_host)
-        hb = hooks.HB
-        by_kind = stats.by_kind
-        bytes_by_kind = stats.bytes_by_kind
+        call_later = self.env.call_later
+        route = self._route
         messages: list[Message] = []
         # the open run: consecutive messages with the same delay share it
         run_entries: list | None = None
         run_delay = -1.0
         for i in range(len(dsts)):
-            dst = dsts[i]
-            pl = payload if payloads is None else payloads[i]
-            nbytes = size_bytes if sizes is None else sizes[i]
-            msg = Message(src=src, dst=dst, kind=kind, payload=pl,
-                          size_bytes=nbytes, send_time=now)
+            msg, delay, entries = route(
+                src, dsts[i], kind,
+                payload if payloads is None else payloads[i],
+                size_bytes if sizes is None else sizes[i])
             messages.append(msg)
-            box = mailboxes.get(dst)
-            if box is None:
-                raise ChannelError(f"no endpoint registered at {dst!r}")
-            dst_site, dst_host = split_address(dst)
-            if hb is not None:
-                hb.on_send(dst_site)
-            stats.messages += 1
-            stats.bytes += nbytes
-            by_kind[kind] += 1
-            bytes_by_kind[kind] += nbytes
-            if tracer.enabled:
-                tracer.record(now, f"net:{kind}", src, dst=dst,
-                              bytes=nbytes)
-            if obs.enabled:
-                self._m_messages.inc(kind=kind)
-                self._m_bytes.inc(nbytes, kind=kind)
-            if not (is_up(dst_host) and src_up):
-                stats.dropped += 1
-                if tracer.enabled:
-                    tracer.record(now, "net:dropped", src, dst=dst,
-                                  kind=kind)
-                if obs.enabled:
-                    self._m_dropped.inc(reason="host-down")
+            if entries is None:
                 continue
-            if (src_host != dst_host
-                    and not reachable(src_site, dst_site)):
-                stats.dropped += 1
-                stats.partition_drops += 1
-                if tracer.enabled:
-                    tracer.record(now, "net:partition-drop", src, dst=dst,
-                                  kind=kind)
-                if obs.enabled:
-                    self._m_dropped.inc(reason="partitioned")
-                continue
-            action = fault_hook(msg) if fault_hook is not None else None
-            if action is not None and action.drop:
-                stats.dropped += 1
-                stats.injected_drops += 1
-                if tracer.enabled:
-                    tracer.record(now, "net:injected-drop", src, dst=dst,
-                                  kind=kind)
-                if obs.enabled:
-                    self._m_dropped.inc(reason="injected")
-                continue
-            if src_host == dst_host:
-                wire = 1e-5 + nbytes / 1e9  # loopback
-            else:
-                wire = transfer_time(src_site, dst_site, nbytes)
-            delay = wire + overhead
-            copies = 1
-            if action is not None:
-                delay = delay * action.delay_multiplier + action.extra_delay_s
-                copies += action.duplicates
-                stats.injected_duplicates += action.duplicates
-            if obs.enabled:
-                self._m_delay.observe(delay, kind=kind)
-                if obs.current_parent is not None:
-                    obs.spans.complete(
-                        kind, "message-delivery", src, now, now + delay,
-                        parent_id=obs.current_parent, dst=dst,
-                        bytes=nbytes)
             if run_entries is None or delay != run_delay:
                 # new run: one heap entry; the list keeps growing until
                 # the entry fires (strictly later in simulated time)
-                run_entries = []
+                run_entries = entries
                 run_delay = delay
-                env.call_later(delay, self._deliver_entries, run_entries)
-            for _ in range(copies):
-                run_entries.append((box, msg, dst_host))
+                call_later(delay, self._deliver_entries, entries)
+            else:
+                run_entries += entries
         return messages
 
     def multicast(self, src: str, dsts: Iterable[str], kind: str,

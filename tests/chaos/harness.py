@@ -94,7 +94,7 @@ def run_chaos(seed: int, n: int = 200, horizon_s: float = 60.0,
     *min_sim_time_s* keeps the simulation running past application
     completion (failovers fire for planned faults landing afterwards —
     the control plane heals whether or not work is in flight).
-    To compare against unbatched fan-out, call it inside
+    To compare against process-per-message delivery, call it inside
     ``tests.network_oracle.unbatched()``: the batching-identity tests
     run the same seed both ways and require byte-identical fault logs
     and traces.

@@ -1,11 +1,11 @@
-"""Chaos suite: batched delivery is byte-invisible to every trace.
+"""Chaos suite: callback delivery is byte-invisible to every trace.
 
-Batched event delivery must be a pure kernel optimisation:
-``tests.network_oracle.unbatched()`` routes every
-:meth:`Network.send_batch` through the loop of plain sends it replaces,
-and two same-seed runs — one each way — must be *byte-identical* in the
-fault-injector log and the Chrome trace, and equal in every outcome
-scalar.  Fault-hook consultations
+Callback event delivery must be a pure kernel optimisation:
+``tests.network_oracle.unbatched()`` carries every message of
+:meth:`Network.send` and :meth:`Network.send_batch` on its own delivery
+process, as before callback delivery, and two same-seed runs — one each
+way — must be *byte-identical* in the fault-injector log and the Chrome
+trace, and equal in every outcome scalar.  Fault-hook consultations
 happen per message in destination order either way, so the injector's
 RNG draws, drops, and duplicates cannot diverge.  CI asserts this
 inside the chaos job (see ``.github/workflows/ci.yml``).

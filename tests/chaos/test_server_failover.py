@@ -160,8 +160,8 @@ class TestFailoverDeterminism:
 
     def test_batching_off_byte_identical(self, chaos_seed):
         """WAL shipping, heartbeats, and the re-push all ride
-        ``send_batch``; routing every batch through the loop of plain
-        sends must leave the failover machinery's traces byte-for-byte
+        ``send_batch``; carrying every message on its own delivery
+        process must leave the failover machinery's traces byte-for-byte
         unchanged."""
         batched = run_chaos(chaos_seed, obs=True,
                             failover_standbys=STANDBYS,

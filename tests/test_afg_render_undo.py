@@ -4,7 +4,6 @@ import pytest
 
 from repro.afg import (
     ApplicationEditor,
-    GraphBuilder,
     TaskProperties,
     node_depths,
     render_graph,

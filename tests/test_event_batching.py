@@ -1,26 +1,31 @@
-"""Batched event delivery: the kernel primitive and the network fan-out.
+"""Callback event delivery: the kernel primitive and the network paths.
 
-PR 7 turned same-tick ``Network.send`` fan-outs into vectorized batch
-events: :meth:`Environment.call_later` puts one ``_Callback`` heap entry
-behind a whole delivery run, :meth:`Store.put_nowait` skips the
-pending-put event on unbounded mailboxes, and :meth:`Network.send_batch`
-coalesces consecutive same-delay messages onto one entry.  The contract
-is *semantic equivalence*: a batch must be indistinguishable — message
-contents, arrival order, stats, fault-hook consultations, simulated
-clock — from the loop of plain ``send`` calls it replaces (kept as
-``tests/network_oracle.py``, which the chaos byte-identity tests also
-run whole scenarios through).
+:meth:`Environment.call_later` puts one ``_Callback`` heap entry behind
+a whole delivery run, and :meth:`Store.put_nowait` skips the
+pending-put event on unbounded mailboxes.  :meth:`Network.send` delivers
+each message (with its duplicates) through one such entry, and
+:meth:`Network.send_batch` coalesces consecutive same-delay messages
+onto one.  The contract is *semantic equivalence* with one delivery
+process per message (kept as ``tests/network_oracle.py``, which the
+chaos byte-identity tests also run whole scenarios through): message
+contents, arrival order, stats, fault-hook consultations and the
+simulated clock must match.  The one intended difference is the
+same-instant tie order against a timer armed after the send, pinned
+below.
 """
 
 from __future__ import annotations
 
+import random
 from functools import partial
 
 import pytest
 
 from repro.net import ATM_OC3, Network, Topology
 from repro.net.network import FaultAction
+from repro.obs import Observability
 from repro.simcore import Environment
+from repro.simcore.engine import _Callback
 from repro.simcore.store import Store
 from repro.util.errors import (
     ChannelError,
@@ -28,7 +33,7 @@ from repro.util.errors import (
     SimulationError,
 )
 
-from .network_oracle import send_batch_unbatched
+from .network_oracle import send_batch_unbatched, send_process_per_message
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +220,26 @@ class TestBatchSemantics:
         assert net.stats.messages == 100
         assert net.stats.dropped == 0
 
+    def test_same_delay_run_arrives_in_dsts_order(self):
+        env, net = make_net()
+        net.register("s1/h0/src")
+        dsts = [f"s1/h{i}/svc" for i in (3, 1, 4, 2)]
+        arrivals = []
+
+        def consumer(env, dst):
+            box = net.register(dst)
+            while True:
+                msg = yield box.get()
+                arrivals.append(msg.dst)
+
+        for dst in dsts:
+            env.process(consumer(env, dst))
+        env.run()
+        net.send_batch("s1/h0/src", dsts, "start", size_bytes=32)
+        assert len(env._queue) == 1
+        env.run()
+        assert arrivals == dsts
+
     def test_down_destination_dropped_at_send(self):
         env, net = make_net()
         net.register("s1/h0/src")
@@ -253,3 +278,134 @@ class TestBatchSemantics:
         net.register("s1/h0/src")
         with pytest.raises(ChannelError):
             net.send_batch("s1/h0/src", ["s1/ghost/svc"], "x")
+
+
+# ---------------------------------------------------------------------------
+# single sends: one call_later entry against the process-per-message oracle
+# ---------------------------------------------------------------------------
+
+class TestSendDelivery:
+    def test_send_pushes_one_callback_entry_and_spawns_no_process(self):
+        env, net = make_net()
+        net.register("s1/h0/src")
+        box = net.register("s2/h1/svc")
+        net.fault_hook = lambda msg: FaultAction(duplicates=2)
+        net.send("s1/h0/src", "s2/h1/svc", "data", payload=7)
+        # no process bootstrap: the message and both duplicates ride a
+        # single callback entry
+        [(_when, _prio, _seq, item)] = env._queue
+        assert type(item) is _Callback
+        assert len(item.arg) == 3
+        env.run()
+        assert [p for *_, p, _ in drain(box)] == [7, 7, 7]
+
+    def test_dropped_send_schedules_nothing(self):
+        env, net = make_net()
+        net.register("s1/h0/src")
+        net.register("s2/h1/svc")
+        net.is_up = lambda host: host != "s2/h1"
+        net.send("s1/h0/src", "s2/h1/svc", "data")
+        assert env._queue == []
+        assert net.stats.dropped == 1
+
+    @pytest.mark.parametrize("oracle, timer_sees", [(False, 1), (True, 0)])
+    def test_message_beats_a_timer_armed_after_it(self, oracle, timer_sees):
+        """Same-instant tie: the message now arrives first, in send order.
+
+        The process-per-message oracle armed the delivery timeout only
+        when its bootstrap ran, after the sender's own timer, so the
+        timer used to fire first.
+        """
+        env, net = make_net()
+        net.register("s1/h0/src")
+        box = net.register("s1/h1/svc")
+        send = (partial(send_process_per_message, net) if oracle
+                else net.send)
+        delay = net.delay_for("s1/h0/src", "s1/h1/svc", 64.0)
+        seen = []
+
+        def sender(env):
+            send("s1/h0/src", "s1/h1/svc", "ping", size_bytes=64.0)
+            yield env.timeout(delay)
+            seen.append((env.now, len(box)))
+
+        env.process(sender(env))
+        env.run()
+        assert seen == [(delay, timer_sees)]
+
+
+#: endpoints of the differential mix; ``s2/h2`` is down for the middle
+#: third of every simulated second, and ``s2/h3/slow`` is a capacity-1
+#: mailbox drained by a slow consumer
+MIX_SRCS = ("s1/h0/src", "s1/h1/src", "s2/h1/src")
+MIX_DSTS = ("s1/h1/svc", "s1/h2/svc", "s2/h1/svc", "s2/h2/svc", "s2/h3/slow")
+
+
+def run_message_mix(seed: int, oracle: bool) -> dict:
+    """A seeded stream of sends; returns every mailbox's arrivals."""
+    env, net = make_net()
+    net.set_observability(Observability())
+    for src in MIX_SRCS:
+        net.register(src)
+    boxes = {dst: net.register(dst) for dst in MIX_DSTS}
+    slow = Store(env, capacity=1)
+    net._mailboxes["s2/h3/slow"] = boxes["s2/h3/slow"] = slow
+    net.is_up = lambda host: not (host == "s2/h2"
+                                  and 1 / 3 <= env.now % 1.0 < 2 / 3)
+    fault_rng = random.Random(seed * 7919)
+
+    def hook(msg):
+        draw = fault_rng.random()
+        if draw < 0.1:
+            return FaultAction(drop=True)
+        if draw < 0.3:
+            return FaultAction(
+                delay_multiplier=fault_rng.uniform(0.5, 40.0),
+                extra_delay_s=fault_rng.uniform(0.0, 0.05),
+                duplicates=fault_rng.randrange(3))
+        return None
+
+    net.fault_hook = hook
+    send = partial(send_process_per_message, net) if oracle else net.send
+    arrivals: dict[str, list] = {dst: [] for dst in MIX_DSTS}
+
+    def consumer(env, dst, pause):
+        box = boxes[dst]
+        while True:
+            msg = yield box.get()
+            arrivals[dst].append((env.now, msg.send_time, msg.payload))
+            if pause:
+                yield env.timeout(pause)
+
+    def sender(env):
+        rng = random.Random(seed)
+        for i in range(300):
+            yield env.timeout(rng.expovariate(40.0))
+            send(rng.choice(MIX_SRCS), rng.choice(MIX_DSTS), "mix",
+                 payload=i, size_bytes=rng.choice((0.0, 64.0, 4096.0,
+                                                   2.5e5)))
+
+    for dst in MIX_DSTS:
+        env.process(consumer(env, dst, 0.21 if dst == "s2/h3/slow"
+                             else 0.0))
+    env.process(sender(env))
+    env.run(until=60.0)
+    return {"arrivals": arrivals, "stats": net.stats,
+            "left": {dst: len(box) for dst, box in boxes.items()},
+            "drops": dict(net._m_dropped.samples())}
+
+
+class TestSendDifferential:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_send_matches_process_per_message_oracle(self, seed):
+        production = run_message_mix(seed, oracle=False)
+        oracle = run_message_mix(seed, oracle=True)
+        assert production == oracle
+        # the mix really exercises every drop and copy path
+        drops = {dict(key)["reason"]: n
+                 for key, n in production["drops"].items()}
+        assert drops["injected"] > 0
+        assert drops["host-down"] > 0
+        assert drops["mid-flight"] > 0
+        assert production["stats"].injected_duplicates > 0
+        assert len(production["arrivals"]["s2/h3/slow"]) > 20

@@ -1,7 +1,5 @@
 """Failure-injection scenarios beyond the basic crash tests."""
 
-import pytest
-
 from repro.scheduling.qos import QoSRequirement
 from repro.scheduling.rescheduling import ReschedulePolicy
 from repro.workloads import (

@@ -4,8 +4,7 @@ pipeline over the simulated NYNET testbed."""
 import numpy as np
 import pytest
 
-from repro import VDCE, HostSpec, QoSRequirement, TaskProperties
-from repro.net import ATM_OC3
+from repro import VDCE, QoSRequirement
 from repro.scheduling.rescheduling import ReschedulePolicy
 from repro.util.errors import ConfigurationError, QoSViolationError
 from repro.workloads import (

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net import ATM_OC3, Message, Network, Topology, split_address
-from repro.net.network import FaultAction, TrafficStats
+from repro.net.network import FaultAction
 from repro.simcore import Environment
 from repro.util.errors import ChannelError, ConfigurationError
 
@@ -173,18 +173,21 @@ class TestTrafficStats:
         assert net.stats.bytes_by_kind["a"] == 150
 
     def test_account_zero_byte_message(self):
-        stats = TrafficStats()
-        stats.account(Message(src="a", dst="b", kind="k", size_bytes=0))
-        assert stats.messages == 1
-        assert stats.bytes == 0
-        assert stats.by_kind == {"k": 1}
-        assert stats.bytes_by_kind["k"] == 0
+        env, net = make_net()
+        net.register("s2/h1")
+        net.send("s1/h1", "s2/h1", "k", size_bytes=0)
+        assert net.stats.messages == 1
+        assert net.stats.bytes == 0
+        assert net.stats.by_kind == {"k": 1}
+        assert net.stats.bytes_by_kind["k"] == 0
 
     def test_account_accumulates_float_bytes(self):
-        stats = TrafficStats()
-        stats.account(Message(src="a", dst="b", kind="k", size_bytes=0.5))
-        stats.account(Message(src="a", dst="b", kind="k", size_bytes=0.25))
-        assert stats.bytes == pytest.approx(0.75)
+        env, net = make_net()
+        net.register("s2/h1")
+        net.send("s1/h1", "s2/h1", "k", size_bytes=0.5)
+        net.send("s1/h1", "s2/h1", "k", size_bytes=0.25)
+        assert net.stats.bytes == pytest.approx(0.75)
+        assert net.stats.bytes_by_kind["k"] == pytest.approx(0.75)
 
     def test_dropped_messages_still_accounted_as_sent(self):
         env, net = make_net()

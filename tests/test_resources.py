@@ -1,6 +1,5 @@
 """Tests for hosts, sites, load models, and failure injection."""
 
-import numpy as np
 import pytest
 
 from repro.net import ATM_OC3

@@ -12,7 +12,7 @@ from repro.tasklib import (
     standard_registry,
 )
 from repro.util.errors import ExecutionError
-from repro.workloads import linear_solver_graph, quiet_testbed
+from repro.workloads import linear_solver_graph
 
 
 def small_vdce(registry=None, seed=61):

@@ -38,7 +38,8 @@ from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
-# for the full-walk oracle in tests/host_selection_oracle.py
+# for the test oracles in tests/host_selection_oracle.py and
+# tests/network_oracle.py
 sys.path.insert(0, str(REPO_ROOT))
 
 from repro.net import Network, Topology  # noqa: E402
@@ -57,6 +58,7 @@ from repro.workloads import (  # noqa: E402
     random_layered_graph,
 )
 from tests.host_selection_oracle import FullWalkHostSelector  # noqa: E402
+from tests.network_oracle import send_process_per_message  # noqa: E402
 
 #: Default regression tolerance: fail when throughput drops below
 #: ``baseline * (1 - TOLERANCE)``.  Generous because CI hardware is
@@ -227,7 +229,7 @@ def bench_scheduler_incremental(scale: int) -> int:
 
 def _bench_fanout(scale: int, batching: bool) -> int:
     """1000-way same-tick fan-outs: one Network.send_batch per round,
-    or (unbatched) the loop of Network.send it replaces."""
+    or (unbatched) a loop of the process-per-message send oracle."""
     n_dsts = 1000
     env = Environment()
     topo = Topology()
@@ -244,7 +246,8 @@ def _bench_fanout(scale: int, batching: bool) -> int:
             net.send_batch(src, dsts, "fanout", payload=r, size_bytes=64.0)
         else:
             for dst in dsts:
-                net.send(src, dst, "fanout", payload=r, size_bytes=64.0)
+                send_process_per_message(net, src, dst, "fanout",
+                                         payload=r, size_bytes=64.0)
         env.run()
     assert net.stats.messages == rounds * n_dsts
     assert net.stats.dropped == 0
@@ -252,7 +255,7 @@ def _bench_fanout(scale: int, batching: bool) -> int:
 
 
 def bench_event_fanout_unbatched(scale: int) -> int:
-    """The loop of plain sends: one delivery process per message."""
+    """The loop of oracle sends: one delivery process per message."""
     return _bench_fanout(scale, batching=False)
 
 
